@@ -1,12 +1,70 @@
 #include "src/crypto/sha1.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace crypto {
 namespace {
 
 inline uint32_t Rotl(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
+
+inline uint32_t LoadBe32(const uint8_t* p) {
+  return (uint32_t{p[0]} << 24) | (uint32_t{p[1]} << 16) | (uint32_t{p[2]} << 8) | uint32_t{p[3]};
+}
+
+// Round function and constant of one 20-round group.
+template <int kGroup>
+inline uint32_t F(uint32_t b, uint32_t c, uint32_t d) {
+  if constexpr (kGroup == 0) {
+    return d ^ (b & (c ^ d));  // Choose.
+  } else if constexpr (kGroup == 2) {
+    return (b & c) | (d & (b | c));  // Majority.
+  } else {
+    return b ^ c ^ d;  // Parity.
+  }
+}
+constexpr uint32_t kRoundConstant[4] = {0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6};
+
+// Round t.  The message schedule rolls through 16 words: word t replaces
+// word t-16 in place.  Instead of shifting a..e down after each round,
+// the roles rotate through v[]: round t's `a` is v[-t mod 5].
+template <int t>
+[[gnu::always_inline]] inline void Round(uint32_t v[5], uint32_t w[16], const uint8_t* block) {
+  if constexpr (t < 16) {
+    w[t] = LoadBe32(block + 4 * t);
+  } else {
+    w[t % 16] = Rotl(w[(t - 3) % 16] ^ w[(t - 8) % 16] ^ w[(t - 14) % 16] ^ w[t % 16], 1);
+  }
+  constexpr int p = (5 - t % 5) % 5;
+  uint32_t& a = v[p];
+  uint32_t& b = v[(p + 1) % 5];
+  uint32_t& c = v[(p + 2) % 5];
+  uint32_t& d = v[(p + 3) % 5];
+  uint32_t& e = v[(p + 4) % 5];
+  e += Rotl(a, 5) + F<t / 20>(b, c, d) + kRoundConstant[t / 20] + w[t % 16];
+  b = Rotl(b, 30);
+}
+
+// Forced inline so that v[] and w[] stay in registers.
+template <int... t>
+[[gnu::always_inline]] inline void Rounds(uint32_t v[5], uint32_t w[16], const uint8_t* block,
+                                          std::integer_sequence<int, t...>) {
+  (Round<t>(v, w, block), ...);
+}
+
+// Compresses `blocks` consecutive 64-byte blocks, read in place, into state.
+void Compress(uint32_t state[5], const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += kSha1BlockSize) {
+    uint32_t v[5] = {state[0], state[1], state[2], state[3], state[4]};
+    uint32_t w[16];
+    Rounds(v, w, data, std::make_integer_sequence<int, 80>{});
+    for (int k = 0; k < 5; ++k) {
+      state[k] += v[k];
+    }
+  }
+}
 
 }  // namespace
 
@@ -18,102 +76,63 @@ Sha1::Sha1() : total_bytes_(0), buffer_len_(0), finalized_(false) {
   state_[4] = 0xC3D2E1F0;
 }
 
-void Sha1::ProcessBlock(const uint8_t block[kSha1BlockSize]) {
-  uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = Rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-
-  uint32_t a = state_[0];
-  uint32_t b = state_[1];
-  uint32_t c = state_[2];
-  uint32_t d = state_[3];
-  uint32_t e = state_[4];
-
-  for (int i = 0; i < 80; ++i) {
-    uint32_t f;
-    uint32_t k;
-    if (i < 20) {
-      f = (b & c) | ((~b) & d);
-      k = 0x5A827999;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDC;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6;
-    }
-    uint32_t tmp = Rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = Rotl(b, 30);
-    b = a;
-    a = tmp;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-}
-
 void Sha1::Update(const uint8_t* data, size_t len) {
   assert(!finalized_);
+  if (len == 0) {
+    return;
+  }
   total_bytes_ += len;
-  while (len > 0) {
-    size_t take = kSha1BlockSize - buffer_len_;
-    if (take > len) {
-      take = len;
-    }
+  if (buffer_len_ > 0) {
+    size_t take = std::min(kSha1BlockSize - buffer_len_, len);
     std::memcpy(buffer_ + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == kSha1BlockSize) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
+    if (buffer_len_ < kSha1BlockSize) {
+      return;
     }
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
+  }
+  // Whole blocks straight from the input; only a partial tail is buffered.
+  size_t blocks = len / kSha1BlockSize;
+  Compress(state_, data, blocks);
+  data += blocks * kSha1BlockSize;
+  len -= blocks * kSha1BlockSize;
+  if (len > 0) {
+    std::memcpy(buffer_, data, len);
+    buffer_len_ = len;
   }
 }
 
-util::Bytes Sha1::Digest() {
+void Sha1::Digest(uint8_t out[kSha1DigestSize]) {
   assert(!finalized_);
   finalized_ = true;
 
   uint64_t bit_len = total_bytes_ * 8;
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
-    while (buffer_len_ < kSha1BlockSize) {
-      buffer_[buffer_len_++] = 0;
-    }
-    ProcessBlock(buffer_);
+    std::memset(buffer_ + buffer_len_, 0, kSha1BlockSize - buffer_len_);
+    Compress(state_, buffer_, 1);
     buffer_len_ = 0;
   }
-  while (buffer_len_ < 56) {
-    buffer_[buffer_len_++] = 0;
-  }
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  ProcessBlock(buffer_);
+  Compress(state_, buffer_, 1);
 
-  util::Bytes out(kSha1DigestSize);
   for (int i = 0; i < 5; ++i) {
     out[i * 4] = static_cast<uint8_t>(state_[i] >> 24);
     out[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
     out[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
     out[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
   }
+}
+
+util::Bytes Sha1::Digest() {
+  util::Bytes out(kSha1DigestSize);
+  Digest(out.data());
   return out;
 }
 
@@ -129,29 +148,40 @@ util::Bytes Sha1Digest(const std::string& data) {
   return h.Digest();
 }
 
-util::Bytes HmacSha1(const util::Bytes& key, const util::Bytes& message) {
-  util::Bytes k = key;
-  if (k.size() > kSha1BlockSize) {
-    k = Sha1Digest(k);
+void HmacSha1(const uint8_t* key, size_t key_len, const uint8_t* message, size_t message_len,
+              uint8_t out[kSha1DigestSize]) {
+  uint8_t k[kSha1BlockSize] = {};
+  if (key_len > kSha1BlockSize) {
+    Sha1 h;
+    h.Update(key, key_len);
+    h.Digest(k);
+  } else if (key_len > 0) {
+    std::memcpy(k, key, key_len);
   }
-  k.resize(kSha1BlockSize, 0);
 
-  util::Bytes ipad(kSha1BlockSize);
-  util::Bytes opad(kSha1BlockSize);
+  uint8_t pad[kSha1BlockSize];
   for (size_t i = 0; i < kSha1BlockSize; ++i) {
-    ipad[i] = static_cast<uint8_t>(k[i] ^ 0x36);
-    opad[i] = static_cast<uint8_t>(k[i] ^ 0x5c);
+    pad[i] = static_cast<uint8_t>(k[i] ^ 0x36);
   }
-
   Sha1 inner;
-  inner.Update(ipad);
-  inner.Update(message);
-  util::Bytes inner_digest = inner.Digest();
+  inner.Update(pad, kSha1BlockSize);
+  inner.Update(message, message_len);
+  uint8_t inner_digest[kSha1DigestSize];
+  inner.Digest(inner_digest);
 
+  for (size_t i = 0; i < kSha1BlockSize; ++i) {
+    pad[i] = static_cast<uint8_t>(k[i] ^ 0x5c);
+  }
   Sha1 outer;
-  outer.Update(opad);
-  outer.Update(inner_digest);
-  return outer.Digest();
+  outer.Update(pad, kSha1BlockSize);
+  outer.Update(inner_digest, kSha1DigestSize);
+  outer.Digest(out);
+}
+
+util::Bytes HmacSha1(const util::Bytes& key, const util::Bytes& message) {
+  util::Bytes out(kSha1DigestSize);
+  HmacSha1(key.data(), key.size(), message.data(), message.size(), out.data());
+  return out;
 }
 
 }  // namespace crypto

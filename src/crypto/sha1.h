@@ -31,10 +31,9 @@ class Sha1 {
   // Finalizes and returns the 20-byte digest.  The object may not be
   // updated afterwards; construct a new one for a new message.
   util::Bytes Digest();
+  void Digest(uint8_t out[kSha1DigestSize]);
 
  private:
-  void ProcessBlock(const uint8_t block[kSha1BlockSize]);
-
   uint32_t state_[5];
   uint64_t total_bytes_;
   uint8_t buffer_[kSha1BlockSize];
@@ -48,7 +47,10 @@ util::Bytes Sha1Digest(const std::string& data);
 
 // HMAC-SHA-1 (RFC 2104).  Used as SFS's per-message MAC; the channel
 // re-keys it for every RPC with bytes pulled from the ARC4 stream
-// (paper §3.1.3).
+// (paper §3.1.3).  The pointer form writes the MAC to out and allocates
+// nothing.
+void HmacSha1(const uint8_t* key, size_t key_len, const uint8_t* message, size_t message_len,
+              uint8_t out[kSha1DigestSize]);
 util::Bytes HmacSha1(const util::Bytes& key, const util::Bytes& message);
 
 }  // namespace crypto

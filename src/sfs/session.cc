@@ -1,5 +1,7 @@
 #include "src/sfs/session.h"
 
+#include <cstring>
+
 #include "src/crypto/sha1.h"
 #include "src/xdr/xdr.h"
 
@@ -9,6 +11,7 @@ namespace {
 constexpr size_t kKeyHalfSize = 20;
 constexpr size_t kMacKeySize = 32;
 constexpr size_t kMacSize = crypto::kSha1DigestSize;
+constexpr size_t kLengthSize = 4;  // XDR uint32, big-endian.
 
 }  // namespace
 
@@ -16,18 +19,25 @@ ChannelCipher::ChannelCipher(const util::Bytes& session_key) : stream_(session_k
 
 util::Bytes ChannelCipher::Seal(const util::Bytes& plaintext) {
   // 32 bytes of keystream re-key the MAC for this message and are never
-  // used for encryption (paper §3.1.3).
-  util::Bytes mac_key = stream_.NextBytes(kMacKeySize);
+  // used for encryption (paper §3.1.3).  Crypt over zeros yields the bare
+  // keystream.
+  uint8_t mac_key[kMacKeySize] = {};
+  stream_.Crypt(mac_key, kMacKeySize);
 
-  xdr::Encoder body;
-  body.PutUint32(static_cast<uint32_t>(plaintext.size()));
-  body.PutFixedOpaque(plaintext);
-  util::Bytes framed = body.Take();
-
-  util::Bytes mac = crypto::HmacSha1(mac_key, framed);
-  util::Append(&framed, mac);
-  stream_.Crypt(&framed);  // Length, message, and MAC all get encrypted.
-  return framed;
+  // XDR framing: length, plaintext, zero pad to a 4-byte boundary; then
+  // the MAC of all that.  The buffer starts zeroed, so the pad is free.
+  const size_t len = plaintext.size();
+  const size_t framed_len = kLengthSize + xdr::PaddedSize(len);
+  util::Bytes sealed(framed_len + kMacSize);
+  for (size_t k = 0; k < kLengthSize; ++k) {
+    sealed[k] = static_cast<uint8_t>(len >> (8 * (kLengthSize - 1 - k)));
+  }
+  if (len > 0) {
+    std::memcpy(sealed.data() + kLengthSize, plaintext.data(), len);
+  }
+  crypto::HmacSha1(mac_key, kMacKeySize, sealed.data(), framed_len, sealed.data() + framed_len);
+  stream_.Crypt(&sealed);  // Length, message, and MAC all get encrypted.
+  return sealed;
 }
 
 util::Result<util::Bytes> ChannelCipher::Open(const util::Bytes& sealed) {
@@ -40,28 +50,36 @@ util::Result<util::Bytes> ChannelCipher::Open(const util::Bytes& sealed) {
     return util::SecurityError(reason);
   };
 
-  if (sealed.size() < 4 + kMacSize) {
+  if (sealed.size() < kLengthSize + kMacSize) {
     return fail("sealed message too short");
   }
-  util::Bytes mac_key = stream_.NextBytes(kMacKeySize);
+  uint8_t mac_key[kMacKeySize] = {};
+  stream_.Crypt(mac_key, kMacKeySize);
   util::Bytes buf = sealed;
   stream_.Crypt(&buf);
 
-  util::Bytes framed(buf.begin(), buf.end() - static_cast<long>(kMacSize));
-  util::Bytes mac(buf.end() - static_cast<long>(kMacSize), buf.end());
-  if (!util::ConstantTimeEquals(mac, crypto::HmacSha1(mac_key, framed))) {
+  const size_t framed_len = buf.size() - kMacSize;
+  uint8_t mac[kMacSize];
+  crypto::HmacSha1(mac_key, kMacKeySize, buf.data(), framed_len, mac);
+  if (!util::ConstantTimeEquals(mac, buf.data() + framed_len, kMacSize)) {
     return fail("MAC check failed");
   }
-  xdr::Decoder dec(std::move(framed));
-  auto len = dec.GetUint32();
-  if (!len.ok()) {
-    return fail("sealed message missing length");
+  size_t len = 0;
+  for (size_t k = 0; k < kLengthSize; ++k) {
+    len = (len << 8) | buf[k];
   }
-  auto plaintext = dec.GetFixedOpaque(len.value());
-  if (!plaintext.ok() || !dec.AtEnd()) {
+  if (kLengthSize + xdr::PaddedSize(len) != framed_len) {
     return fail("length field inconsistent with message");
   }
-  return std::move(plaintext).value();
+  for (size_t k = kLengthSize + len; k < framed_len; ++k) {
+    if (buf[k] != 0) {
+      return fail("length field inconsistent with message");
+    }
+  }
+  // The plaintext moves down over the length word within the one buffer.
+  std::memmove(buf.data(), buf.data() + kLengthSize, len);
+  buf.resize(len);
+  return buf;
 }
 
 util::Bytes SessionKeys::SessionId() const {

@@ -43,6 +43,7 @@ Result<Bytes> Base32Decode(const std::string& s);
 
 // Constant-time equality for secrets (MACs, keys).
 bool ConstantTimeEquals(const Bytes& a, const Bytes& b);
+bool ConstantTimeEquals(const uint8_t* a, const uint8_t* b, size_t len);
 
 }  // namespace util
 

@@ -81,7 +81,7 @@ util::Result<std::string> Decoder::GetString() {
 }
 
 util::Result<util::Bytes> Decoder::GetFixedOpaque(size_t len) {
-  size_t padded = (len + 3) & ~size_t{3};
+  size_t padded = PaddedSize(len);
   if (pos_ + padded > buffer_.size()) {
     return util::InvalidArgument("XDR: truncated opaque");
   }

@@ -17,6 +17,10 @@
 
 namespace xdr {
 
+// Bytes an opaque item of `len` bytes occupies once zero-padded to XDR's
+// 4-byte unit.
+constexpr size_t PaddedSize(size_t len) { return (len + 3) & ~size_t{3}; }
+
 class Encoder {
  public:
   Encoder() = default;

@@ -1,6 +1,8 @@
 // Unit tests for the crypto substrate: SHA-1, HMAC, ARC4, PRNG, base32.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/crypto/arc4.h"
 #include "src/crypto/prng.h"
 #include "src/crypto/sha1.h"
@@ -43,12 +45,30 @@ TEST(Sha1Test, MillionAs) {
 }
 
 TEST(Sha1Test, IncrementalMatchesOneShot) {
-  std::string msg = "the quick brown fox jumps over the lazy dog, repeatedly";
+  // Almost five blocks, so the splits exercise both whole blocks read
+  // straight from the input and the buffered partial block.  Bytes above
+  // 0x7f catch sign extension in the word loads.  The digest was computed
+  // independently (Python hashlib).
+  Bytes msg(300);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  const Bytes digest = Sha1Digest(msg);
+  EXPECT_EQ(HexEncode(digest), "0d42342d302223ad22cb3506b14f0d3032bce103");
   for (size_t split = 0; split <= msg.size(); ++split) {
     Sha1 h;
-    h.Update(msg.substr(0, split));
-    h.Update(msg.substr(split));
-    EXPECT_EQ(h.Digest(), Sha1Digest(msg)) << "split at " << split;
+    h.Update(msg.data(), split);
+    h.Update(msg.data() + split, msg.size() - split);
+    EXPECT_EQ(h.Digest(), digest) << "split at " << split;
+  }
+  for (size_t a = 0; a <= msg.size(); ++a) {
+    for (size_t b = a; b <= msg.size(); b += 7) {
+      Sha1 h;
+      h.Update(msg.data(), a);
+      h.Update(msg.data() + a, b - a);
+      h.Update(msg.data() + b, msg.size() - b);
+      EXPECT_EQ(h.Digest(), digest) << "pieces split at " << a << " and " << b;
+    }
   }
 }
 
@@ -148,6 +168,75 @@ TEST(Arc4Test, TwentyByteKeySpinsTwice) {
     k[i] ^= 0x80;
     Arc4 variant(k);
     EXPECT_NE(variant.NextBytes(64), ref_stream) << "byte " << i << " ignored by schedule";
+  }
+}
+
+// Textbook byte-at-a-time RC4 with the paper's key schedule (one spin
+// per 128 bits of key, j carried from spin to spin): the oracle for
+// Arc4's batched keystream loop.
+class ReferenceRc4 {
+ public:
+  explicit ReferenceRc4(const Bytes& key) {
+    for (int k = 0; k < 256; ++k) {
+      s_[k] = static_cast<uint8_t>(k);
+    }
+    uint8_t j = 0;
+    for (size_t spin = 0; spin < (key.size() * 8 + 127) / 128; ++spin) {
+      for (int k = 0; k < 256; ++k) {
+        j = static_cast<uint8_t>(j + s_[k] + key[k % key.size()]);
+        std::swap(s_[k], s_[j]);
+      }
+    }
+  }
+
+  uint8_t Next() {
+    i_ = static_cast<uint8_t>(i_ + 1);
+    j_ = static_cast<uint8_t>(j_ + s_[i_]);
+    std::swap(s_[i_], s_[j_]);
+    return s_[static_cast<uint8_t>(s_[i_] + s_[j_])];
+  }
+
+ private:
+  uint8_t s_[256];
+  uint8_t i_ = 0;
+  uint8_t j_ = 0;
+};
+
+TEST(Arc4Test, MatchesTextbookRc4AcrossPieceLengths) {
+  // Crypt, NextBytes and NextByte take turns on one stream.  Piece
+  // lengths 0-17 hit every tail around the 8-byte batch, from shifting
+  // stream positions; every fourth piece is long (up to 10 KB).  Crypt
+  // also runs at unaligned addresses.
+  Prng prng(uint64_t{21});
+  for (size_t key_len = 1; key_len <= 32; ++key_len) {
+    Bytes key = prng.RandomBytes(key_len);
+    Arc4 cipher(key);
+    ReferenceRc4 ref(key);
+    for (int piece = 0; piece < 40; ++piece) {
+      size_t len = piece % 4 == 3 ? prng.RandomUint64(10 * 1024 + 1) : prng.RandomUint64(18);
+      Bytes keystream(len);
+      for (uint8_t& b : keystream) {
+        b = ref.Next();
+      }
+      if (piece % 3 == 0) {
+        size_t offset = prng.RandomUint64(8);
+        Bytes data = prng.RandomBytes(offset + len);
+        Bytes want = data;
+        for (size_t k = 0; k < len; ++k) {
+          want[offset + k] ^= keystream[k];
+        }
+        cipher.Crypt(data.data() + offset, len);
+        ASSERT_EQ(data, want) << "key length " << key_len << ", piece " << piece;
+      } else if (piece % 3 == 1) {
+        ASSERT_EQ(cipher.NextBytes(len), keystream)
+            << "key length " << key_len << ", piece " << piece;
+      } else {
+        for (size_t k = 0; k < len; ++k) {
+          ASSERT_EQ(cipher.NextByte(), keystream[k])
+              << "key length " << key_len << ", piece " << piece << ", byte " << k;
+        }
+      }
+    }
   }
 }
 

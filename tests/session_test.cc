@@ -2,7 +2,10 @@
 // channel-cipher behavior under sustained use.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/crypto/prng.h"
+#include "src/crypto/sha1.h"
 #include "src/sfs/pathname.h"
 #include "src/sfs/session.h"
 
@@ -136,6 +139,44 @@ TEST(ChannelCipherTest, SkippedMessageDesynchronizes) {
   Bytes m2 = sender.Seal(BytesOf("second"));
   (void)m1;  // Dropped in transit.
   EXPECT_FALSE(receiver.Open(m2).ok());
+}
+
+TEST(ChannelCipherTest, WireBytesArePinned) {
+  // The sealed frames are the wire protocol: a Seal/Open pair that still
+  // round-trips but frames, pads, MACs or encrypts differently would not
+  // interoperate with a peer built from an earlier revision.  Sizes cover
+  // the empty message, every residue of the XDR pad, the SHA-1 block
+  // edges and a full NFS data chunk.
+  const Bytes key = BytesOf("sfs wire-pin key 20B");
+  ASSERT_EQ(key.size(), 20u);
+  Prng prng(uint64_t{12});
+  ChannelCipher sender(key);
+  std::vector<Bytes> messages;
+  std::vector<Bytes> frames;
+  crypto::Sha1 wire;
+  for (size_t size : {0, 1, 3, 4, 5, 63, 64, 65, 1000, 8192}) {
+    messages.push_back(prng.RandomBytes(size));
+    frames.push_back(sender.Seal(messages.back()));
+    wire.Update(frames.back());
+  }
+  EXPECT_EQ(util::HexEncode(wire.Digest()), "b5334ea5e3a269ead3e33677ec7ec49a523eb382");
+
+  // A failed Open rewinds the stream, so after a truncated, a bit-flipped
+  // and a stale copy the genuine frame and the one after it still open.
+  ChannelCipher receiver(key);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    if (i > 0) {
+      Bytes truncated(frames[i].begin(), frames[i].end() - 4);
+      Bytes flipped = frames[i];
+      flipped[flipped.size() / 2] ^= 0x10;
+      EXPECT_FALSE(receiver.Open(truncated).ok()) << "frame " << i;
+      EXPECT_FALSE(receiver.Open(flipped).ok()) << "frame " << i;
+      EXPECT_FALSE(receiver.Open(frames[i - 1]).ok()) << "frame " << i;
+    }
+    auto opened = receiver.Open(frames[i]);
+    ASSERT_TRUE(opened.ok()) << "frame " << i;
+    EXPECT_EQ(opened.value(), messages[i]) << "frame " << i;
+  }
 }
 
 TEST(NegotiationTest, WrongSizeServerHalvesRejected) {
