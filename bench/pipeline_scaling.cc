@@ -235,7 +235,7 @@ struct SfsEnv {
       mount->fs()->Read(fh, cred, offset, chunk, &data, &eof);
       benchmark::DoNotOptimize(data.size());
     }
-    mount->Drain();
+    mount->rpc()->Drain();
     return clock.now_ns() - start;
   }
 };

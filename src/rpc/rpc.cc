@@ -1,6 +1,9 @@
 #include "src/rpc/rpc.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "src/obs/span.h"
@@ -13,6 +16,37 @@ namespace {
 
 constexpr uint32_t kReplyAccepted = 0;
 constexpr uint32_t kReplyError = 1;
+
+// Parses a reply body into the xid it answers and the call's outcome:
+// the results, or the remote handler's error.  A body that does not
+// parse names no call; it is discarded like a stale reply.
+util::Result<uint32_t> ParseReply(util::Bytes body, util::Result<util::Bytes>* outcome) {
+  xdr::Decoder dec(std::move(body));
+  auto xid = dec.GetUint32();
+  auto status = dec.GetUint32();
+  if (!xid.ok() || !status.ok()) {
+    return util::InvalidArgument("RPC: truncated reply");
+  }
+  if (status.value() == kReplyAccepted) {
+    auto results = dec.GetOpaque();
+    if (!results.ok() || !dec.AtEnd()) {
+      return util::InvalidArgument("RPC: malformed accepted reply");
+    }
+    *outcome = std::move(results).value();
+    return xid.value();
+  }
+  auto code = dec.GetUint32();
+  auto message = dec.GetString();
+  if (!code.ok() || !message.ok()) {
+    return util::InvalidArgument("RPC: malformed error reply");
+  }
+  uint32_t clamped = code.value();
+  if (clamped == 0 || clamped > static_cast<uint32_t>(util::ErrorCode::kInternal)) {
+    clamped = static_cast<uint32_t>(util::ErrorCode::kInternal);
+  }
+  *outcome = util::Status(static_cast<util::ErrorCode>(clamped), message.value());
+  return xid.value();
+}
 
 }  // namespace
 
@@ -75,7 +109,6 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
   // Duplicate-request cache: a retransmitted call must not re-execute a
   // non-idempotent handler.  Replay the reply recorded the first time.
   if (auto cached = drc_.find(seqno.value()); cached != drc_.end()) {
-    ++drc_hits_;
     m_drc_hits_->Increment();
     if (tracer_->active()) {
       obs::TraceEvent event;
@@ -219,12 +252,30 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
   return reply_bytes;
 }
 
-Client::Client(Transport* transport, uint32_t prog, obs::Registry* registry,
-               std::string prog_name, ProcNamer namer)
+util::Bytes LinkTransport::Frame(uint32_t seqno, const util::Bytes& body) {
+  // The plain header carries the seqno right after the body's xid.
+  constexpr size_t kWordSize = 4;
+  util::Bytes wire(body.size() + kWordSize);
+  std::memcpy(wire.data(), body.data(), kWordSize);
+  for (size_t k = 0; k < kWordSize; ++k) {
+    wire[kWordSize + k] = static_cast<uint8_t>(seqno >> (8 * (kWordSize - 1 - k)));
+  }
+  std::memcpy(wire.data() + 2 * kWordSize, body.data() + kWordSize, body.size() - kWordSize);
+  return wire;
+}
+
+std::vector<util::Result<util::Bytes>> LinkTransport::Unframe(util::Bytes message,
+                                                              const CallSpanFn& call_span) {
+  (void)call_span;
+  std::vector<util::Result<util::Bytes>> replies;
+  replies.emplace_back(std::move(message));
+  return replies;
+}
+
+Client::Client(Transport* transport, std::vector<Program> programs, obs::Registry* registry)
     : transport_(transport),
-      prog_(prog),
-      prog_name_(prog_name.empty() ? "PROG" + std::to_string(prog) : std::move(prog_name)),
-      namer_(std::move(namer)),
+      link_(transport->link()),
+      clock_(link_->clock()),
       registry_(registry != nullptr ? registry : obs::Registry::Default()),
       tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
@@ -234,22 +285,30 @@ Client::Client(Transport* transport, uint32_t prog, obs::Registry* registry,
       m_window_samples_(registry_->GetCounter("rpc.client.window_samples")),
       g_in_flight_(registry_->GetGauge("rpc.client.in_flight")),
       m_queue_wait_(registry_->GetHistogram("rpc.client.queue_wait_ns")) {
-  metrics_.Init(registry_, "rpc.client." + prog_name_);
+  for (Program& program : programs) {
+    ProgramState& state = programs_.emplace_back();
+    state.prog = program.prog;
+    state.namer = std::move(program.namer);
+    state.metrics.Init(registry_, "rpc.client." + (program.name.empty()
+                                                       ? "PROG" + std::to_string(program.prog)
+                                                       : program.name));
+  }
+  link_->set_delivery_sink([this](sim::Delivery delivery) { OnDelivery(std::move(delivery)); });
 }
 
+Client::Client(Transport* transport, uint32_t prog, obs::Registry* registry,
+               std::string prog_name, ProcNamer namer)
+    : Client(transport, {Program{prog, std::move(prog_name), std::move(namer)}}, registry) {}
+
 Client::~Client() {
-  // Disarm event-driven retransmission timers: the clock (and its event
-  // queue) outlives the client, and a fired timer would touch freed
-  // state.
-  if (event_driven_) {
-    if (sim::Clock* clock = transport_->clock()) {
-      for (auto& [xid, call] : pending_) {
-        if (call.timer_id != 0) {
-          clock->events()->Cancel(call.timer_id);
-        }
-      }
+  // The link and clock outlive the client: disarm the retransmission
+  // timers and the delivery sink, which would otherwise touch freed state.
+  for (auto& [xid, call] : pending_) {
+    if (call.timer_id != 0) {
+      clock_->events()->Cancel(call.timer_id);
     }
   }
+  link_->set_delivery_sink(nullptr);
   // Calls abandoned in-flight are no longer occupying the window.
   g_in_flight_->Add(-static_cast<int64_t>(pending_.size()));
 }
@@ -258,28 +317,58 @@ void Client::set_window(uint32_t window) {
   window_ = std::clamp<uint32_t>(window, 1, kMaxSendWindow);
 }
 
-void Client::EnableEventDriven() {
-  if (event_driven_ || !transport_->SupportsEventDriven() ||
-      !transport_->SupportsPipelining() || transport_->clock() == nullptr) {
-    return;
+Client::ProgramState* Client::ProgramFor(uint32_t prog) {
+  auto it = std::find_if(programs_.begin(), programs_.end(),
+                         [prog](const ProgramState& program) { return program.prog == prog; });
+  assert(it != programs_.end() && "program not given to this client's constructor");
+  return &*it;
+}
+
+Client::PendingCall Client::NewCall(uint32_t prog, uint32_t proc) {
+  ProgramState* program = ProgramFor(prog);
+  PendingCall call;
+  call.xid = next_xid_++;
+  call.prog = prog;
+  call.proc = proc;
+  call.proc_name = program->namer ? program->namer(proc) : std::to_string(proc);
+  call.pm = program->metrics.Get(proc, call.proc_name);
+  call.pm->calls->Increment();
+  call.t_call_ns = clock_->now_ns();
+  return call;
+}
+
+void Client::FrameCall(PendingCall* call, const util::Bytes& args) {
+  xdr::Encoder body;
+  body.PutUint32(call->xid);
+  body.PutUint32(call->prog);
+  body.PutUint32(call->proc);
+  body.PutOpaque(args);
+  if (const obs::Span* span = spans_->Find(call->span_id)) {
+    // Trace context rides after the args; retransmitted copies carry it
+    // verbatim, so the server always sees the original parent.
+    body.PutUint64(span->trace_id);
+    body.PutUint64(span->id);
   }
-  event_driven_ = true;
-  transport_->SetDeliverySink(
-      [this](sim::Delivery delivery) { OnDelivery(std::move(delivery)); });
+  // Framed under the call span, so the transport's send-side work nests
+  // under it.
+  spans_->Push(call->span_id);
+  call->wire = transport_->Frame(call->xid, body.Take());
+  spans_->Pop(call->span_id);
+  if (obs::Span* s = spans_->Find(call->span_id)) {
+    s->xid = call->xid;
+    s->seqno = call->xid;
+    s->wire_bytes = call->wire.size();
+  }
 }
 
-bool Client::UsePipelining() const {
-  return window_ > 1 && transport_->SupportsPipelining();
-}
-
-util::Result<util::Bytes> Client::Call(uint32_t proc, const util::Bytes& args) {
-  if (!UsePipelining()) {
-    return LegacyCall(proc, args);
+util::Result<util::Bytes> Client::Call(uint32_t prog, uint32_t proc, const util::Bytes& args) {
+  if (window_ == 1) {
+    return LegacyCall(prog, proc, args);
   }
   // Submit through the window and pump until this call's reply lands;
   // earlier async calls complete (and run their callbacks) on the way.
   std::optional<util::Result<util::Bytes>> out;
-  CallAsync(proc, args,
+  CallAsync(prog, proc, args,
             [&out](util::Result<util::Bytes> result) { out = std::move(result); });
   while (!out.has_value()) {
     PumpOnce();
@@ -287,159 +376,92 @@ util::Result<util::Bytes> Client::Call(uint32_t proc, const util::Bytes& args) {
   return std::move(*out);
 }
 
-util::Result<util::Bytes> Client::LegacyCall(uint32_t proc, const util::Bytes& args) {
-  uint32_t xid = next_xid_++;
-  uint32_t seqno = next_seqno_++;
-  ++calls_made_;
-  const std::string proc_name = namer_ ? namer_(proc) : std::to_string(proc);
-
+util::Result<util::Bytes> Client::LegacyCall(uint32_t prog, uint32_t proc,
+                                             const util::Bytes& args) {
+  // Not entered in pending_: only this frame waits for the reply.
+  PendingCall call = NewCall(prog, proc);
   // The call span covers the whole stop-and-wait exchange, retransmits
-  // included; pushed so link/server child spans nest under it.
-  obs::ScopedSpan call_span(spans_, "rpc.call." + proc_name, "rpc");
-
-  xdr::Encoder call;
-  call.PutUint32(xid);
-  call.PutUint32(seqno);
-  call.PutUint32(prog_);
-  call.PutUint32(proc);
-  call.PutOpaque(args);
-  if (obs::Span* s = call_span.span()) {
-    // Trace context rides after the args; sealed/retransmitted copies
-    // carry it verbatim, so the server always sees the original parent.
-    call.PutUint64(s->trace_id);
-    call.PutUint64(s->id);
-  }
-  const util::Bytes wire = call.Take();
-  if (obs::Span* s = call_span.span()) {
-    s->xid = xid;
-    s->seqno = seqno;
-    s->wire_bytes = wire.size();
-  }
-
-  obs::ProcMetrics* pm = metrics_.Get(proc, proc_name);
-  pm->calls->Increment();
-
-  sim::Clock* clock = transport_->clock();
-  const uint64_t t_call_ns = clock != nullptr ? clock->now_ns() : 0;
-  sim::Clock::CategorySnapshot before;
-  if (clock != nullptr) {
-    before = clock->categories();
-  }
-
-  auto emit = [&](obs::TraceEvent::Kind kind, uint32_t attempt, uint64_t wire_bytes,
-                  const std::string& note) {
-    if (!tracer_->active()) {
-      return;
-    }
-    obs::TraceEvent event;
-    event.kind = kind;
-    event.layer = "rpc";
-    event.prog = prog_;
-    event.proc = proc;
-    event.proc_name = proc_name;
-    event.xid = xid;
-    event.seqno = seqno;
-    event.wire_bytes = wire_bytes;
-    event.t_send_ns = t_call_ns;
-    event.t_recv_ns = clock != nullptr ? clock->now_ns() : 0;
-    event.attempt = attempt;
-    event.note = note;
-    tracer_->Emit(event);
-  };
+  // included; pushed so transport, link and server child spans nest under
+  // it.
+  obs::ScopedSpan call_span(spans_, transport_->call_span_prefix() + call.proc_name,
+                            transport_->layer());
+  call.span_id = call_span.id();
+  const sim::Clock::CategorySnapshot before = clock_->categories();
+  FrameCall(&call, args);
 
   // On every exit path, attribute the call's elapsed virtual time to the
   // per-procedure latency histogram and slice it by charge category.
   auto finish = [&](bool ok, uint64_t reply_bytes) {
     if (!ok) {
-      pm->errors->Increment();
+      call.pm->errors->Increment();
       if (obs::Span* s = call_span.span()) {
         s->error = true;
       }
     }
-    pm->bytes_received->Increment(reply_bytes);
-    if (clock != nullptr) {
-      pm->latency->Record(clock->now_ns() - t_call_ns);
-      const sim::Clock::CategorySnapshot& after = clock->categories();
-      for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
-        pm->time[i]->Increment(after.ns[i] - before.ns[i]);
-      }
+    call.pm->bytes_received->Increment(reply_bytes);
+    call.pm->latency->Record(clock_->now_ns() - call.t_call_ns);
+    const sim::Clock::CategorySnapshot& after = clock_->categories();
+    for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
+      call.pm->time[i]->Increment(after.ns[i] - before.ns[i]);
     }
   };
 
-  emit(obs::TraceEvent::Kind::kClientCall, 0, wire.size(), "");
+  EmitEvent(obs::TraceEvent::Kind::kClientCall, call, call.wire.size(), "");
 
-  // Network reordering can hand us a stale reply (some earlier call's
-  // xid).  That is loss, not an attack: discard it, wait out a timeout,
-  // and retransmit the same wire bytes — the server's DRC guarantees the
-  // handler does not run twice.
-  const sim::RetryPolicy* policy = transport_->retry_policy();
-  sim::RetryPolicy default_policy;
-  if (policy == nullptr) {
-    policy = &default_policy;
-  }
-  uint32_t attempts = policy->max_transmissions == 0 ? 1 : policy->max_transmissions;
+  // Only this call's replies may nest under its span.
+  const CallSpanFn own_span = [&](uint32_t seqno) {
+    obs::Span* s = call_span.span();
+    return seqno == call.xid && s != nullptr ? s->context() : obs::SpanContext{};
+  };
+
+  // Network reordering can hand us a stale reply (some earlier call's,
+  // or one that fails to open).  That is loss, not an attack: discard
+  // it, wait out a timeout, and retransmit the same wire bytes — the
+  // server's DRC guarantees the handler does not run twice.
+  const sim::RetryPolicy& policy = link_->retry_policy();
+  const uint32_t attempts = std::max<uint32_t>(policy.max_transmissions, 1);
   util::Status last_error = util::Unavailable("RPC: no matching reply");
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      if (clock != nullptr) {
-        clock->Advance(policy->initial_rto_ns, obs::TimeCategory::kWait);
-      }
-      ++retransmissions_;
+  for (; call.attempt < attempts; ++call.attempt) {
+    if (call.attempt > 0) {
+      clock_->Advance(policy.initial_rto_ns, obs::TimeCategory::kWait);
       m_stale_retries_->Increment();
-      pm->retransmits->Increment();
+      call.pm->retransmits->Increment();
       if (obs::Span* s = call_span.span()) {
         ++s->retransmits;
       }
-      emit(obs::TraceEvent::Kind::kClientRetransmit, attempt, wire.size(),
-           last_error.message());
+      EmitEvent(obs::TraceEvent::Kind::kClientRetransmit, call, call.wire.size(),
+                last_error.message());
     }
-    pm->bytes_sent->Increment(wire.size());
+    call.pm->bytes_sent->Increment(call.wire.size());
 
-    auto roundtrip = transport_->Roundtrip(wire);
+    auto roundtrip = link_->Roundtrip(call.wire);
     if (!roundtrip.ok()) {
-      // The transport already retried transit loss; its verdict is final.
+      // The link already retried transit loss; its verdict is final.
       finish(false, 0);
       return roundtrip.status();
     }
-
-    xdr::Decoder dec(std::move(roundtrip).value());
-    auto reply_xid = dec.GetUint32();
-    if (!reply_xid.ok()) {
-      last_error = util::InvalidArgument("RPC: truncated reply");
-      continue;
-    }
-    if (reply_xid.value() != xid) {
-      // Lookup-or-count: with a single outstanding call the lookup is
-      // just an equality check, but the discard is never silent — the
-      // unmatched-replies counter records every one.
-      ++unmatched_replies_;
-      m_unmatched_replies_->Increment();
-      last_error = util::Unavailable("RPC: stale reply xid, retransmitting");
-      emit(obs::TraceEvent::Kind::kClientStaleReply, attempt, 0,
-           "reply xid " + std::to_string(reply_xid.value()));
-      continue;
-    }
-    ASSIGN_OR_RETURN(uint32_t status, dec.GetUint32());
-    if (status == kReplyAccepted) {
-      ASSIGN_OR_RETURN(util::Bytes results, dec.GetOpaque());
-      if (!dec.AtEnd()) {
-        finish(false, 0);
-        return util::InvalidArgument("RPC: trailing bytes in reply");
+    const uint64_t reply_bytes = roundtrip->size();
+    for (util::Result<util::Bytes>& reply :
+         transport_->Unframe(std::move(roundtrip).value(), own_span)) {
+      util::Result<util::Bytes> outcome = util::Unavailable("RPC: no reply");
+      util::Result<uint32_t> reply_xid =
+          reply.ok() ? ParseReply(std::move(reply).value(), &outcome) : reply.status();
+      if (reply_xid.ok() && reply_xid.value() == call.xid) {
+        finish(outcome.ok(), outcome.ok() ? outcome->size() : 0);
+        if (outcome.ok()) {
+          EmitEvent(obs::TraceEvent::Kind::kClientReply, call, outcome->size(), "");
+        }
+        return outcome;
       }
-      finish(true, results.size());
-      emit(obs::TraceEvent::Kind::kClientReply, attempt, results.size(), "");
-      return results;
+      last_error = reply_xid.ok() ? util::Unavailable("RPC: stale reply xid " +
+                                                      std::to_string(reply_xid.value()))
+                                  : reply_xid.status();
+      CountUnmatched(reply_xid.ok() ? reply_xid.value() : 0, reply_bytes, last_error.message());
     }
-    ASSIGN_OR_RETURN(uint32_t code, dec.GetUint32());
-    ASSIGN_OR_RETURN(std::string message, dec.GetString());
-    if (code == 0 || code > static_cast<uint32_t>(util::ErrorCode::kInternal)) {
-      code = static_cast<uint32_t>(util::ErrorCode::kInternal);
-    }
-    finish(false, 0);
-    return util::Status(static_cast<util::ErrorCode>(code), message);
   }
   finish(false, 0);
-  return util::Unavailable("RPC: gave up waiting for a fresh reply: " + last_error.message());
+  return util::Status(last_error.code(),
+                      "RPC: gave up waiting for a fresh reply: " + last_error.message());
 }
 
 // --- Pipelined path ---------------------------------------------------------
@@ -449,19 +471,35 @@ void Client::EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call,
   if (!tracer_->active()) {
     return;
   }
-  sim::Clock* clock = transport_->clock();
   obs::TraceEvent event;
   event.kind = kind;
-  event.layer = "rpc";
-  event.prog = prog_;
+  event.layer = transport_->layer();
+  event.prog = call.prog;
   event.proc = call.proc;
   event.proc_name = call.proc_name;
   event.xid = call.xid;
-  event.seqno = call.seqno;
+  event.seqno = call.xid;
   event.wire_bytes = wire_bytes;
   event.t_send_ns = call.t_call_ns;
-  event.t_recv_ns = clock != nullptr ? clock->now_ns() : 0;
+  event.t_recv_ns = clock_->now_ns();
   event.attempt = call.attempt;
+  event.note = note;
+  tracer_->Emit(event);
+}
+
+void Client::CountUnmatched(uint32_t xid, uint64_t wire_bytes, const std::string& note) {
+  m_unmatched_replies_->Increment();
+  if (!tracer_->active()) {
+    return;
+  }
+  obs::TraceEvent event;
+  event.kind = obs::TraceEvent::Kind::kClientStaleReply;
+  event.layer = transport_->layer();
+  event.xid = xid;
+  event.seqno = xid;
+  event.wire_bytes = wire_bytes;
+  event.t_send_ns = clock_->now_ns();
+  event.t_recv_ns = clock_->now_ns();
   event.note = note;
   tracer_->Emit(event);
 }
@@ -472,30 +510,23 @@ void Client::Transmit(PendingCall* call) {
   // bookkeeping (and the server-side dispatch, which executes under the
   // submitter's context) parent under it (Push(0) no-ops).
   spans_->Push(call->span_id);
-  const uint64_t token = transport_->Submit(call->wire);
+  const uint64_t token = link_->Submit(call->wire);
   spans_->Pop(call->span_id);
   token_to_xid_[token] = call->xid;
-  sim::Clock* clock = transport_->clock();
-  call->deadline_ns = (clock != nullptr ? clock->now_ns() : 0) + call->rto_ns;
-  if (event_driven_) {
-    // Cancellable engine timer instead of the AwaitNext deadline poll.
-    // The timer fires only if nothing completed the call first; the gap
-    // it bridges (idle waiting out a lost message) is kWait, same as the
-    // pull path charges it.
-    const uint32_t xid = call->xid;
-    call->timer_id = clock->events()->Schedule(
-        call->deadline_ns, obs::TimeCategory::kWait,
-        [this, xid] { OnRetransmitTimer(xid); });
-  }
+  // The timer fires only if nothing completed the call first; the gap it
+  // bridges (idle, waiting out a lost message) is kWait.
+  const uint32_t xid = call->xid;
+  call->timer_id = clock_->events()->Schedule(clock_->now_ns() + call->rto_ns,
+                                              obs::TimeCategory::kWait,
+                                              [this, xid] { OnRetransmitTimer(xid); });
 }
 
-void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
-  if (!UsePipelining()) {
-    // Stop-and-wait fallback: complete synchronously.
-    done(LegacyCall(proc, args));
+void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Callback done) {
+  if (window_ == 1) {
+    // Stop-and-wait: complete synchronously.
+    done(LegacyCall(prog, proc, args));
     return;
   }
-  sim::Clock* clock = transport_->clock();
   // A new call may enter only when (a) a window slot is free and (b) its
   // seqno would stay within the server's duplicate-request window of the
   // oldest outstanding call.  (b) matters because completions arrive out
@@ -503,80 +534,41 @@ void Client::CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
   // newer calls keep completing and freeing slots, so the send window
   // alone does not bound the seqno spread — without this hold, the DRC
   // can slide past the stuck seqno and reject its retransmission.
-  // pending_ is keyed by xid, and xids and seqnos advance together, so
-  // the first entry is the oldest seqno.  kDrcWindow/2 leaves the server
-  // margin for retransmitted copies and matches kMaxSendWindow, so the
-  // hold only ever engages when completions have outrun the oldest call
-  // by more than a full window.
+  // pending_ is keyed by xid, which is also the seqno, so the first entry
+  // is the oldest.  kDrcWindow/2 leaves the server margin for
+  // retransmitted copies and matches kMaxSendWindow, so the hold only
+  // ever engages when completions have outrun the oldest call by more
+  // than a full window.
   auto may_issue = [this] {
     return pending_.size() < window_ &&
-           (pending_.empty() ||
-            next_seqno_ - pending_.begin()->second.seqno < kDrcWindow / 2);
+           (pending_.empty() || next_xid_ - pending_.begin()->first < kDrcWindow / 2);
   };
   if (!may_issue()) {
     // Pump until the call may enter.  The wait is real queueing delay the
     // caller experiences, so record it.
-    const uint64_t wait_start = clock != nullptr ? clock->now_ns() : 0;
+    const uint64_t wait_start = clock_->now_ns();
     while (!may_issue()) {
       PumpOnce();
     }
-    if (clock != nullptr) {
-      m_queue_wait_->Record(clock->now_ns() - wait_start);
-    }
+    m_queue_wait_->Record(clock_->now_ns() - wait_start);
   } else {
     m_queue_wait_->Record(0);
   }
 
-  const sim::RetryPolicy* policy = transport_->retry_policy();
-  sim::RetryPolicy default_policy;
-  if (policy == nullptr) {
-    policy = &default_policy;
-  }
-
-  uint32_t xid = next_xid_++;
-  uint32_t seqno = next_seqno_++;
-  ++calls_made_;
-  const std::string proc_name = namer_ ? namer_(proc) : std::to_string(proc);
-
+  PendingCall call = NewCall(prog, proc);
+  call.rto_ns = link_->retry_policy().initial_rto_ns;
+  call.done = std::move(done);
   // Async call span: parented to the ambient span at submission (the
   // initiating operation), ended when the reply completes the call.
   // Initiators that must satisfy the nesting invariant drain their async
   // calls before closing their own span.
-  uint64_t span_id = 0;
   if (spans_->enabled()) {
-    span_id = spans_->Begin("rpc.call." + proc_name, "rpc");
+    call.span_id = spans_->Begin(transport_->call_span_prefix() + call.proc_name,
+                                 transport_->layer());
   }
+  FrameCall(&call, args);
 
-  xdr::Encoder enc;
-  enc.PutUint32(xid);
-  enc.PutUint32(seqno);
-  enc.PutUint32(prog_);
-  enc.PutUint32(proc);
-  enc.PutOpaque(args);
-  if (obs::Span* s = spans_->Find(span_id)) {
-    enc.PutUint64(s->trace_id);
-    enc.PutUint64(s->id);
-    s->xid = xid;
-    s->seqno = seqno;
-  }
-
-  PendingCall call;
-  call.xid = xid;
-  call.seqno = seqno;
-  call.proc = proc;
-  call.proc_name = proc_name;
-  call.span_id = span_id;
-  call.wire = enc.Take();
-  if (obs::Span* s = spans_->Find(span_id)) {
-    s->wire_bytes = call.wire.size();
-  }
-  call.t_call_ns = clock != nullptr ? clock->now_ns() : 0;
-  call.rto_ns = policy->initial_rto_ns;
-  call.pm = metrics_.Get(proc, call.proc_name);
-  call.pm->calls->Increment();
-  call.done = std::move(done);
-
-  auto [it, inserted] = pending_.emplace(xid, std::move(call));
+  auto [it, inserted] = pending_.emplace(call.xid, std::move(call));
   (void)inserted;
   g_in_flight_->Add(1);
   EmitEvent(obs::TraceEvent::Kind::kClientCall, it->second, it->second.wire.size(), "");
@@ -592,66 +584,8 @@ void Client::Drain() {
 }
 
 void Client::PumpOnce() {
-  if (pending_.empty()) {
-    return;
-  }
-  if (event_driven_) {
-    // Deliveries and retransmission timers are all engine events; with a
-    // call pending there is always at least one scheduled (its timer),
-    // so one dispatch always makes progress.
-    transport_->clock()->events()->RunOne();
-    return;
-  }
-  uint64_t deadline = pending_.begin()->second.deadline_ns;
-  for (const auto& [xid, call] : pending_) {
-    deadline = std::min(deadline, call.deadline_ns);
-  }
-  auto delivery = transport_->AwaitNext(deadline);
-  if (delivery.has_value()) {
-    OnDelivery(std::move(*delivery));
-    return;
-  }
-
-  // The earliest retransmission timer fired with nothing on the wire:
-  // resend (or give up on) every expired call.
-  const sim::RetryPolicy* policy = transport_->retry_policy();
-  sim::RetryPolicy default_policy;
-  if (policy == nullptr) {
-    policy = &default_policy;
-  }
-  sim::Clock* clock = transport_->clock();
-  const uint64_t now = clock != nullptr ? clock->now_ns() : deadline;
-  std::vector<uint32_t> expired;
-  for (const auto& [xid, call] : pending_) {
-    if (call.deadline_ns <= now) {
-      expired.push_back(xid);
-    }
-  }
-  const uint32_t attempts = policy->max_transmissions == 0 ? 1 : policy->max_transmissions;
-  for (uint32_t xid : expired) {
-    auto it = pending_.find(xid);
-    if (it == pending_.end()) {
-      continue;
-    }
-    PendingCall& call = it->second;
-    if (call.attempt + 1 >= attempts) {
-      Complete(xid, util::Unavailable("RPC: retry budget exhausted waiting for reply"));
-      continue;
-    }
-    ++call.attempt;
-    call.rto_ns = std::min(call.rto_ns * policy->backoff_factor, policy->max_rto_ns);
-    // Timer resends count as link retransmissions (we cannot tell loss
-    // from reordering here), not as stale_retries — Testbed sums the
-    // two, so attributing to both would double-count.
-    ++retransmissions_;
-    transport_->NoteRetransmission();
-    call.pm->retransmits->Increment();
-    if (obs::Span* s = spans_->Find(call.span_id)) {
-      ++s->retransmits;
-    }
-    EmitEvent(obs::TraceEvent::Kind::kClientRetransmit, call, call.wire.size(),
-              "retransmission timer expired");
-    Transmit(&call);
+  if (!pending_.empty()) {
+    clock_->events()->RunOne();
   }
 }
 
@@ -662,20 +596,17 @@ void Client::OnRetransmitTimer(uint32_t xid) {
   }
   PendingCall& call = it->second;
   call.timer_id = 0;  // This timer just fired; Transmit re-arms.
-  const sim::RetryPolicy* policy = transport_->retry_policy();
-  sim::RetryPolicy default_policy;
-  if (policy == nullptr) {
-    policy = &default_policy;
-  }
-  const uint32_t attempts = policy->max_transmissions == 0 ? 1 : policy->max_transmissions;
-  if (call.attempt + 1 >= attempts) {
+  const sim::RetryPolicy& policy = link_->retry_policy();
+  if (call.attempt + 1 >= std::max<uint32_t>(policy.max_transmissions, 1)) {
     Complete(xid, util::Unavailable("RPC: retry budget exhausted waiting for reply"));
     return;
   }
   ++call.attempt;
-  call.rto_ns = std::min(call.rto_ns * policy->backoff_factor, policy->max_rto_ns);
-  ++retransmissions_;
-  transport_->NoteRetransmission();
+  call.rto_ns = std::min(call.rto_ns * policy.backoff_factor, policy.max_rto_ns);
+  // Timer resends count as link retransmissions (we cannot tell loss
+  // from reordering here), not as stale_retries — the benchmarks sum the
+  // two, so attributing to both would double-count.
+  link_->NoteRetransmission();
   call.pm->retransmits->Increment();
   if (obs::Span* s = spans_->Find(call.span_id)) {
     ++s->retransmits;
@@ -700,65 +631,35 @@ void Client::OnDelivery(sim::Delivery delivery) {
     return;
   }
 
-  auto count_unmatched = [&](uint32_t xid, const std::string& note) {
-    ++unmatched_replies_;
-    m_unmatched_replies_->Increment();
-    if (tracer_->active()) {
-      sim::Clock* clock = transport_->clock();
-      obs::TraceEvent event;
-      event.kind = obs::TraceEvent::Kind::kClientStaleReply;
-      event.layer = "rpc";
-      event.prog = prog_;
-      event.xid = xid;
-      event.wire_bytes = delivery.response.size();
-      event.t_recv_ns = clock != nullptr ? clock->now_ns() : 0;
-      event.note = note;
-      tracer_->Emit(event);
-    }
+  const uint64_t wire_bytes = delivery.response.size();
+  const CallSpanFn call_span = [this](uint32_t seqno) {
+    auto it = pending_.find(seqno);
+    obs::Span* s = it == pending_.end() ? nullptr : spans_->Find(it->second.span_id);
+    return s != nullptr ? s->context() : obs::SpanContext{};
   };
-
-  xdr::Decoder dec(std::move(delivery.response));
-  auto reply_xid = dec.GetUint32();
-  if (!reply_xid.ok()) {
-    count_unmatched(0, "truncated reply header");
-    return;
-  }
-  auto it = pending_.find(reply_xid.value());
-  if (it == pending_.end()) {
-    // No outstanding call wants this xid: a late duplicate of an already
-    // completed call (retransmit raced the reply).  Counted, not silent.
-    count_unmatched(reply_xid.value(), "no outstanding call for xid");
-    return;
-  }
-
-  auto status_word = dec.GetUint32();
-  if (!status_word.ok()) {
-    // Matched but unparseable: discard and let the timer resend; the
-    // server DRC replays the intact reply.
-    count_unmatched(reply_xid.value(), "truncated reply body");
-    return;
-  }
-  if (status_word.value() == kReplyAccepted) {
-    auto results = dec.GetOpaque();
-    if (!results.ok() || !dec.AtEnd()) {
-      count_unmatched(reply_xid.value(), "malformed accepted reply");
-      return;
+  for (util::Result<util::Bytes>& reply :
+       transport_->Unframe(std::move(delivery.response), call_span)) {
+    if (!reply.ok()) {
+      // Discarded unread: the call's timer resends, and the server's DRC
+      // replays the intact reply.
+      CountUnmatched(token_xid, wire_bytes, reply.status().message());
+      continue;
     }
-    Complete(reply_xid.value(), std::move(results).value());
-    return;
+    util::Result<util::Bytes> outcome = util::Unavailable("RPC: no reply");
+    util::Result<uint32_t> reply_xid = ParseReply(std::move(reply).value(), &outcome);
+    if (!reply_xid.ok()) {
+      CountUnmatched(token_xid, wire_bytes, reply_xid.status().message());
+      continue;
+    }
+    if (pending_.count(reply_xid.value()) == 0) {
+      // No outstanding call wants this xid: a late duplicate of an already
+      // completed call (a retransmit raced the reply), or the reply of a
+      // call that gave up.  Counted, not silent.
+      CountUnmatched(reply_xid.value(), wire_bytes, "no outstanding call for xid");
+      continue;
+    }
+    Complete(reply_xid.value(), std::move(outcome));
   }
-  auto code = dec.GetUint32();
-  auto message = dec.GetString();
-  if (!code.ok() || !message.ok()) {
-    count_unmatched(reply_xid.value(), "malformed error reply");
-    return;
-  }
-  uint32_t clamped = code.value();
-  if (clamped == 0 || clamped > static_cast<uint32_t>(util::ErrorCode::kInternal)) {
-    clamped = static_cast<uint32_t>(util::ErrorCode::kInternal);
-  }
-  Complete(reply_xid.value(),
-           util::Status(static_cast<util::ErrorCode>(clamped), message.value()));
 }
 
 void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
@@ -770,28 +671,25 @@ void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
   pending_.erase(it);
   g_in_flight_->Add(-1);
   if (call.timer_id != 0) {
-    // Event-driven mode: the reply beat the retransmission timer; cancel
-    // it so it neither fires nor holds the event queue open.
-    transport_->clock()->events()->Cancel(call.timer_id);
+    // The reply beat the retransmission timer; cancel it so it neither
+    // fires nor holds the event queue open.
+    clock_->events()->Cancel(call.timer_id);
   }
   // Retire every submission token still pointing at this call (dropped
   // copies never produced a delivery to clean themselves up).
   for (auto tok = token_to_xid_.begin(); tok != token_to_xid_.end();) {
     tok = tok->second == xid ? token_to_xid_.erase(tok) : std::next(tok);
   }
-  sim::Clock* clock = transport_->clock();
   if (result.ok()) {
     call.pm->bytes_received->Increment(result.value().size());
     EmitEvent(obs::TraceEvent::Kind::kClientReply, call, result.value().size(), "");
   } else {
     call.pm->errors->Increment();
   }
-  if (clock != nullptr) {
-    // Wall-clock latency of the whole call.  Per-category slices are not
-    // recorded here: overlapping calls share elapsed time, so a per-call
-    // category diff would double-charge (the legacy path keeps them).
-    call.pm->latency->Record(clock->now_ns() - call.t_call_ns);
-  }
+  // Wall-clock latency of the whole call.  Per-category slices are not
+  // recorded here: overlapping calls share elapsed time, so a per-call
+  // category diff would double-charge (the stop-and-wait path keeps them).
+  call.pm->latency->Record(clock_->now_ns() - call.t_call_ns);
   if (call.span_id != 0) {
     if (obs::Span* s = spans_->Find(call.span_id)) {
       s->error = !result.ok();

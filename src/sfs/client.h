@@ -99,34 +99,14 @@ class SfsClient {
     std::optional<uint32_t> RemoteUid(const std::string& name);
 
     sim::Link* link() { return link_.get(); }
-
-    // Calls resent from above the link because the reply in hand was
-    // stale (wrong xid or wrong keystream position).  Transit-loss
-    // retransmits are counted by link()->retransmissions().  Per-instance
-    // shim; the registry's rpc.client.stale_retries counter aggregates
-    // the same events across mounts (and plain rpc::Clients).
-    uint64_t stale_retries() const { return stale_retries_; }
+    // The call engine over the secure channel: NFS3 and the SFS control
+    // program share its xid/seqno space and send window.  Null for
+    // read-only mounts.
+    rpc::Client* rpc() { return rpc_.get(); }
 
     // True for mounts served by the read-only dialect (verified signed
     // images; no secure channel, no user authentication).
     bool read_only() const { return ro_client_ != nullptr; }
-
-    // --- Pipelined channel (Options::window > 1) -----------------------
-    // Starts a channel call without waiting for its reply.  If the send
-    // window is full, blocks (pumping deliveries) until a slot frees;
-    // the wait lands in the rpc.client.queue_wait_ns histogram.  `done`
-    // runs when the matching reply opens, inside a later Call/CallAsync/
-    // Drain on this mount.
-    void CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args,
-                   std::function<void(util::Result<util::Bytes>)> done);
-    // Completes every outstanding pipelined call.
-    void Drain();
-    uint32_t window() const { return window_; }
-    uint64_t in_flight() const { return pending_.size(); }
-    // Replies that matched no outstanding call or failed to open at
-    // their keystream position (late duplicates, tampering); aggregated
-    // in rpc.client.unmatched_replies.
-    uint64_t unmatched_replies() const { return unmatched_replies_; }
 
    private:
     friend class SfsClient;
@@ -134,87 +114,17 @@ class SfsClient {
     SelfCertifyingPath path_;
     nfs::FileHandle root_fh_;
     util::Bytes session_id_;
-    std::unique_ptr<sim::Link> link_;
-    std::unique_ptr<ChannelCipher> cipher_out_;  // Seals client->server.
-    std::unique_ptr<ChannelCipher> cipher_in_;   // Opens server->client.
-    bool cleartext_ = false;
     SfsServer* server_ = nullptr;
     uint64_t connection_id_ = 0;
     std::unique_ptr<sim::Service> connection_;
+    std::unique_ptr<sim::Link> link_;
+    std::unique_ptr<ChannelTransport> channel_;
+    std::unique_ptr<rpc::Client> rpc_;
     std::unique_ptr<nfs::NfsClient> nfs_client_;
     std::unique_ptr<readonly::ReadOnlyClient> ro_client_;
     std::unique_ptr<nfs::CachingFs> cache_;
     std::map<uint32_t, uint32_t> authnos_;  // uid -> authno (0 = anonymous).
-    uint32_t next_seqno_ = 1;
-    uint32_t next_xid_ = 1;
-    // Wire-level sequence number prefixed to each kMsgEncrypted frame;
-    // keys the server connection's duplicate-request cache.
-    uint32_t next_wire_seqno_ = 1;
-    uint64_t stale_retries_ = 0;
-
-    // Pipelined-channel state.  The receive keystream is positional, so
-    // sealed replies must open strictly in wire-seqno order: out-of-order
-    // arrivals wait in `reorder_` until `next_open_seqno_` catches up (a
-    // gap is filled by the owning call's retransmission timer — the
-    // server's DRC replays the original sealed bytes for that seqno, at
-    // the correct keystream position).
-    struct PendingChannelCall {
-      uint32_t xid = 0;
-      uint32_t wire_seqno = 0;
-      uint32_t prog = 0;
-      uint32_t proc = 0;
-      std::string proc_name;
-      util::Bytes wire;  // Sealed once; retransmissions resend these bytes.
-      uint64_t t_call_ns = 0;
-      uint64_t deadline_ns = 0;
-      uint64_t rto_ns = 0;
-      uint32_t attempt = 0;
-      uint64_t span_id = 0;  // Open "sfs.call.<proc>" span; 0 = tracing off.
-      obs::ProcMetrics* pm = nullptr;
-      std::function<void(util::Result<util::Bytes>)> done;
-    };
-    uint32_t window_ = 1;
-    uint64_t unmatched_replies_ = 0;
-    std::map<uint32_t, PendingChannelCall> pending_;  // By wire seqno.
-    std::map<uint64_t, uint32_t> token_to_seqno_;     // Submission tokens.
-    std::map<uint32_t, util::Bytes> reorder_;  // Sealed bodies awaiting order.
-    uint32_t next_open_seqno_ = 1;
-
-    // Observability handles (owned by the client's registry).  The
-    // per-procedure prefixes match the plain-RPC Client's, so NFS3 and
-    // SFS stacks report under the same metric names.
-    obs::Tracer* tracer_ = nullptr;
-    obs::SpanCollector* spans_ = nullptr;
-    obs::Counter* m_stale_retries_ = nullptr;
-    obs::Counter* m_unmatched_replies_ = nullptr;
-    obs::Counter* m_window_occupancy_sum_ = nullptr;
-    obs::Counter* m_window_samples_ = nullptr;
-    obs::Gauge* g_in_flight_ = nullptr;
-    obs::Histogram* m_queue_wait_ = nullptr;
-    obs::ProcMetricsTable nfs_metrics_;  // "rpc.client.NFS3"
-    obs::ProcMetricsTable ctl_metrics_;  // "rpc.client.SFSCTL"
-
-    // Sends one RPC through the secure channel, charging client-side
-    // crossings and crypto.  At window 1 this is the stop-and-wait
-    // LegacyCall; otherwise it submits through the pipelined path and
-    // pumps until this call completes (earlier async calls' callbacks
-    // run along the way).
-    util::Result<util::Bytes> Call(uint32_t prog, uint32_t proc, const util::Bytes& args);
-    util::Result<util::Bytes> LegacyCall(uint32_t prog, uint32_t proc,
-                                         const util::Bytes& args);
-    // Sends (or resends) a pending call and arms its timer.
-    void Transmit(PendingChannelCall* call);
-    // Waits for the next delivery or the earliest retransmission
-    // deadline; processes whichever fires (at most one event).
-    void PumpOnce();
-    void OnChannelDelivery(sim::Delivery delivery);
-    // Opens stashed sealed replies in seqno order from next_open_seqno_.
-    void TryOpenInOrder();
-    // Removes the call from the window and runs its callback.
-    void CompleteChannelCall(uint32_t wire_seqno, util::Result<util::Bytes> result);
-    void CountUnmatched(uint32_t seqno, uint64_t wire_bytes, const std::string& note);
-    void EmitChannelEvent(obs::TraceEvent::Kind kind, const PendingChannelCall& call,
-                          uint64_t wire_bytes, const std::string& note);
+    uint32_t next_seqno_ = 1;               // Figure 4 authentication seqno.
   };
 
   // Mounts (or returns the existing mount for) a self-certifying path.

@@ -11,6 +11,10 @@
 
 #include <cstdint>
 
+#include "src/util/bytes.h"
+#include "src/util/status.h"
+#include "src/xdr/xdr.h"
+
 namespace sfs {
 
 enum class ServiceType : uint32_t {
@@ -25,6 +29,26 @@ enum MsgType : uint32_t {
   kMsgSrpStart = 4,
   kMsgSrpFinish = 5,
 };
+
+// Frames a connection message: {type, payload}.
+inline util::Bytes FrameMessage(uint32_t type, const util::Bytes& payload) {
+  xdr::Encoder enc;
+  enc.PutUint32(type);
+  enc.PutOpaque(payload);
+  return enc.Take();
+}
+
+// Unframes a connection message, checking that it carries
+// `expected_type`.
+inline util::Result<util::Bytes> Unframe(uint32_t expected_type, const util::Bytes& message) {
+  xdr::Decoder dec(message);
+  ASSIGN_OR_RETURN(uint32_t type, dec.GetUint32());
+  ASSIGN_OR_RETURN(util::Bytes payload, dec.GetOpaque());
+  if (type != expected_type || !dec.AtEnd()) {
+    return util::SecurityError("unexpected reply framing");
+  }
+  return payload;
+}
 
 enum ConnectResult : uint32_t {
   kConnectOk = 0,

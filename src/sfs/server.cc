@@ -20,29 +20,6 @@ util::Bytes DeriveHandleKey(const crypto::RabinPrivateKey& key) {
   return crypto::Sha1Digest(enc.Take());
 }
 
-util::Bytes FrameMessage(uint32_t type, const util::Bytes& payload) {
-  xdr::Encoder enc;
-  enc.PutUint32(type);
-  enc.PutOpaque(payload);
-  return enc.Take();
-}
-
-// Closed all-crypto span for a seal/open interval on the server side.
-void RecordCryptoSpan(obs::SpanCollector* spans, const char* name, uint64_t start_ns,
-                      uint64_t end_ns, uint64_t bytes, obs::SpanContext parent) {
-  if (spans == nullptr || !spans->enabled() || end_ns == start_ns) {
-    return;
-  }
-  obs::Span span;
-  span.name = name;
-  span.layer = "server";
-  span.start_ns = start_ns;
-  span.end_ns = end_ns;
-  span.cat_ns[static_cast<size_t>(obs::TimeCategory::kCrypto)] = end_ns - start_ns;
-  span.wire_bytes = bytes;
-  spans->RecordClosed(std::move(span), parent);
-}
-
 }  // namespace
 
 SfsServer::SfsServer(sim::Clock* clock, const sim::CostModel* costs, Options options,
@@ -196,7 +173,6 @@ util::Result<util::Bytes> ServerConnection::Handle(const util::Bytes& request) {
       // A duplicated handshake message would otherwise hit the state
       // machine out of phase and kill the connection; replay the reply.
       if (!last_handshake_request_.empty() && request == last_handshake_request_) {
-        ++server_->drc_hits_;
         server_->m_drc_hits_->Increment();
         if (server_->tracer_->active()) {
           obs::TraceEvent event;
@@ -344,7 +320,6 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
     return util::InvalidArgument("malformed channel frame");
   }
   if (auto cached = reply_cache_.find(wire_seqno.value()); cached != reply_cache_.end()) {
-    ++server_->drc_hits_;
     server_->m_drc_hits_->Increment();
     if (server_->tracer_->active()) {
       obs::TraceEvent event;
@@ -391,7 +366,7 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
   } else {
     const uint64_t open_start_ns = server_->clock_->now_ns();
     server_->costs_->ChargeCrypto(server_->clock_, sealed_body->size());
-    RecordCryptoSpan(server_->spans_, "sfs.open", open_start_ns,
+    RecordCryptoSpan(server_->spans_, "sfs.open", "server", open_start_ns,
                      server_->clock_->now_ns(), sealed_body->size(),
                      server_->spans_->current());
     auto opened = cipher_in_->Open(sealed_body.value());
@@ -420,7 +395,7 @@ util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& p
     const uint64_t seal_start_ns = server_->clock_->now_ns();
     sealed_reply = cipher_out_->Seal(reply.value());
     server_->costs_->ChargeCrypto(server_->clock_, sealed_reply.size());
-    RecordCryptoSpan(server_->spans_, "sfs.seal", seal_start_ns,
+    RecordCryptoSpan(server_->spans_, "sfs.seal", "server", seal_start_ns,
                      server_->clock_->now_ns(), sealed_reply.size(),
                      server_->spans_->current());
   }

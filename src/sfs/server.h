@@ -113,12 +113,6 @@ class SfsServer {
 
   uint64_t connections_accepted() const { return next_connection_id_ - 1; }
 
-  // Channel requests answered from a connection's duplicate-request
-  // cache (retransmits deduplicated; the handler did not run again).
-  // Per-instance shim; the registry's server.drc_hits counter aggregates
-  // the same events.
-  uint64_t drc_hits() const { return drc_hits_; }
-
   obs::Registry* registry() { return registry_; }
 
   // The tamper-evident operation journal; nullptr when Options::audit is
@@ -153,7 +147,6 @@ class SfsServer {
   std::map<std::string, std::unique_ptr<readonly::ReplicaServer>> ro_replicas_;
   std::map<uint64_t, InvalidateFn> cache_callbacks_;
   uint64_t next_connection_id_ = 1;
-  uint64_t drc_hits_ = 0;
   std::unique_ptr<ServerAuditor> auditor_;
 
   // Observability: shared across connections so the per-procedure server

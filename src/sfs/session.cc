@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "src/crypto/sha1.h"
+#include "src/sfs/proto.h"
 #include "src/xdr/xdr.h"
 
 namespace sfs {
@@ -80,6 +81,111 @@ util::Result<util::Bytes> ChannelCipher::Open(const util::Bytes& sealed) {
   std::memmove(buf.data(), buf.data() + kLengthSize, len);
   buf.resize(len);
   return buf;
+}
+
+void RecordCryptoSpan(obs::SpanCollector* spans, const char* name, const char* layer,
+                      uint64_t start_ns, uint64_t end_ns, uint64_t bytes,
+                      obs::SpanContext parent) {
+  if (spans == nullptr || !spans->enabled() || end_ns == start_ns) {
+    return;
+  }
+  obs::Span span;
+  span.name = name;
+  span.layer = layer;
+  span.start_ns = start_ns;
+  span.end_ns = end_ns;
+  span.cat_ns[static_cast<size_t>(obs::TimeCategory::kCrypto)] = end_ns - start_ns;
+  span.wire_bytes = bytes;
+  spans->RecordClosed(std::move(span), parent);
+}
+
+ChannelTransport::ChannelTransport(sim::Link* link, const sim::CostModel* costs,
+                                   obs::Registry* registry,
+                                   std::unique_ptr<ChannelCipher> seal,
+                                   std::unique_ptr<ChannelCipher> open)
+    : rpc::Transport(link, "sfs.call.", "sfs.chan"),
+      costs_(costs),
+      spans_(&registry->spans()),
+      seal_(std::move(seal)),
+      open_(std::move(open)) {}
+
+util::Bytes ChannelTransport::Frame(uint32_t seqno, const util::Bytes& body) {
+  // User-level client daemon: two kernel crossings, then seal.
+  sim::Clock* clock = link()->clock();
+  costs_->ChargeCrossing(clock, 2);
+  util::Bytes sealed;
+  if (seal_ == nullptr) {
+    costs_->ChargeCopy(clock, body.size());
+    sealed = body;
+  } else {
+    const uint64_t start_ns = clock->now_ns();
+    sealed = seal_->Seal(body);
+    costs_->ChargeCrypto(clock, sealed.size());
+    RecordCryptoSpan(spans_, "sfs.seal", "sfs.chan", start_ns, clock->now_ns(), sealed.size(),
+                     spans_->current());
+  }
+  last_framed_ = seqno;
+  xdr::Encoder frame;
+  frame.PutUint32(seqno);
+  frame.PutOpaque(sealed);
+  return FrameMessage(kMsgEncrypted, frame.Take());
+}
+
+std::vector<util::Result<util::Bytes>> ChannelTransport::Unframe(
+    util::Bytes message, const rpc::CallSpanFn& call_span) {
+  std::vector<util::Result<util::Bytes>> replies;
+  // The reply frame echoes the request's wire seqno in cleartext
+  // (docs/PROTOCOL.md §10), so a stale duplicate is caught before the
+  // cipher is touched.
+  auto payload = sfs::Unframe(kMsgEncrypted, message);
+  if (!payload.ok()) {
+    replies.push_back(payload.status());
+    return replies;
+  }
+  xdr::Decoder frame(std::move(payload).value());
+  auto seqno = frame.GetUint32();
+  auto sealed = frame.GetOpaque();
+  if (!seqno.ok() || !sealed.ok() || !frame.AtEnd()) {
+    replies.push_back(util::SecurityError("malformed encrypted reply frame"));
+    return replies;
+  }
+  if (seqno.value() < next_open_ || seqno.value() > last_framed_) {
+    // A duplicate of a reply already opened, or a seqno never sent.
+    replies.push_back(
+        util::Unavailable("stale reply for seqno " + std::to_string(seqno.value())));
+    return replies;
+  }
+  // Hold the sealed body and open as far as the in-order cursor allows.
+  // A duplicate overwrites with identical bytes (the server's DRC replays
+  // the frame verbatim), so the overwrite is harmless.
+  held_[seqno.value()] = std::move(sealed).value();
+  sim::Clock* clock = link()->clock();
+  for (auto it = held_.find(next_open_); it != held_.end(); it = held_.find(next_open_)) {
+    util::Bytes body = std::move(it->second);
+    held_.erase(it);
+    if (open_ == nullptr) {
+      costs_->ChargeCopy(clock, body.size());
+    } else {
+      const uint64_t start_ns = clock->now_ns();
+      costs_->ChargeCrypto(clock, body.size());
+      if (const obs::SpanContext parent = call_span(next_open_); parent.valid()) {
+        RecordCryptoSpan(spans_, "sfs.open", "sfs.chan", start_ns, clock->now_ns(),
+                         body.size(), parent);
+      }
+      auto opened = open_->Open(body);
+      if (!opened.ok()) {
+        // Tampered or corrupt at the expected keystream position (or a
+        // stale copy).  Open left the stream untouched; the call's resend
+        // brings the server's DRC replay of the genuine sealed bytes.
+        replies.push_back(opened.status());
+        return replies;
+      }
+      body = std::move(opened).value();
+    }
+    ++next_open_;
+    replies.push_back(std::move(body));
+  }
+  return replies;
 }
 
 util::Bytes SessionKeys::SessionId() const {

@@ -18,16 +18,25 @@
 // session key.  Per message, 32 bytes are drawn from the stream to key a
 // SHA-1 MAC (never used as encryption keystream); the MAC covers length
 // and plaintext; then length || plaintext || MAC are all encrypted.
+//
+// ChannelTransport makes the client half of that channel one more
+// rpc::Transport: the call engine is the same rpc::Client that speaks
+// plain NFS3 over a bare link.
 #ifndef SFS_SRC_SFS_SESSION_H_
 #define SFS_SRC_SFS_SESSION_H_
 
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/crypto/arc4.h"
 #include "src/crypto/prng.h"
 #include "src/crypto/rabin.h"
+#include "src/obs/span.h"
+#include "src/rpc/rpc.h"
 #include "src/sfs/pathname.h"
+#include "src/sim/cost_model.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
 
@@ -53,6 +62,43 @@ class ChannelCipher {
 
  private:
   crypto::Arc4 stream_;
+};
+
+// Records one already-elapsed all-kCrypto interval (a seal or open of the
+// channel cipher) under `parent`, in `layer` ("sfs.chan" on the client,
+// "server" on the server).
+void RecordCryptoSpan(obs::SpanCollector* spans, const char* name, const char* layer,
+                      uint64_t start_ns, uint64_t end_ns, uint64_t bytes,
+                      obs::SpanContext parent);
+
+// The client side of an established secure channel as an rpc::Transport.
+// A call body is sealed exactly once and framed as {kMsgEncrypted,
+// seqno, sealed}; retransmissions resend those bytes, so the send
+// keystream advances once per call however many copies the network
+// loses, and the cleartext seqno lets the server deduplicate without
+// opening.  Replies echo the seqno in cleartext and open strictly in
+// seqno order, because the receive keystream is positional: an early
+// reply is held until the cursor reaches it.  Null ciphers select the
+// cleartext ablation (copies instead of seals).  Crypto charges and the
+// sfs.seal/sfs.open spans nest under the owning sfs.call.<PROC> span.
+class ChannelTransport : public rpc::Transport {
+ public:
+  ChannelTransport(sim::Link* link, const sim::CostModel* costs, obs::Registry* registry,
+                   std::unique_ptr<ChannelCipher> seal, std::unique_ptr<ChannelCipher> open);
+
+  // Charges the client daemon's two kernel crossings, then seals.
+  util::Bytes Frame(uint32_t seqno, const util::Bytes& body) override;
+  std::vector<util::Result<util::Bytes>> Unframe(util::Bytes message,
+                                                 const rpc::CallSpanFn& call_span) override;
+
+ private:
+  const sim::CostModel* costs_;
+  obs::SpanCollector* spans_;
+  std::unique_ptr<ChannelCipher> seal_;  // Client -> server; null = cleartext.
+  std::unique_ptr<ChannelCipher> open_;  // Server -> client; null = cleartext.
+  uint32_t last_framed_ = 0;             // Highest seqno sent.
+  uint32_t next_open_ = 1;               // Seqno the receive keystream is at.
+  std::map<uint32_t, util::Bytes> held_;  // Early replies, still sealed.
 };
 
 // Both directions plus the session identity material.

@@ -64,17 +64,9 @@ util::Result<SfsKeyFetch> SrpFetchKey(sim::Clock* clock, SfsServer* server,
   xdr::Encoder start;
   start.PutString(user);
   start.PutOpaque(srp.A().ToBytes());
-  xdr::Encoder framed1;
-  framed1.PutUint32(kMsgSrpStart);
-  framed1.PutOpaque(start.Take());
-  ASSIGN_OR_RETURN(util::Bytes reply1, link.Roundtrip(framed1.Take()));
-
-  xdr::Decoder dec1(reply1);
-  ASSIGN_OR_RETURN(uint32_t type1, dec1.GetUint32());
-  ASSIGN_OR_RETURN(util::Bytes payload1, dec1.GetOpaque());
-  if (type1 != kMsgSrpStart) {
-    return util::SecurityError("unexpected SRP reply");
-  }
+  ASSIGN_OR_RETURN(util::Bytes reply1,
+                   link.Roundtrip(FrameMessage(kMsgSrpStart, start.Take())));
+  ASSIGN_OR_RETURN(util::Bytes payload1, Unframe(kMsgSrpStart, reply1));
   xdr::Decoder p1(payload1);
   ASSIGN_OR_RETURN(util::Bytes salt, p1.GetOpaque());
   ASSIGN_OR_RETURN(uint32_t cost, p1.GetUint32());
@@ -85,17 +77,9 @@ util::Result<SfsKeyFetch> SrpFetchKey(sim::Clock* clock, SfsServer* server,
   // Message 2: client proof; reply carries server proof + sealed secrets.
   xdr::Encoder finish;
   finish.PutOpaque(srp.ClientProof());
-  xdr::Encoder framed2;
-  framed2.PutUint32(kMsgSrpFinish);
-  framed2.PutOpaque(finish.Take());
-  ASSIGN_OR_RETURN(util::Bytes reply2, link.Roundtrip(framed2.Take()));
-
-  xdr::Decoder dec2(reply2);
-  ASSIGN_OR_RETURN(uint32_t type2, dec2.GetUint32());
-  ASSIGN_OR_RETURN(util::Bytes payload2, dec2.GetOpaque());
-  if (type2 != kMsgSrpFinish) {
-    return util::SecurityError("unexpected SRP reply");
-  }
+  ASSIGN_OR_RETURN(util::Bytes reply2,
+                   link.Roundtrip(FrameMessage(kMsgSrpFinish, finish.Take())));
+  ASSIGN_OR_RETURN(util::Bytes payload2, Unframe(kMsgSrpFinish, reply2));
   xdr::Decoder p2(payload2);
   ASSIGN_OR_RETURN(util::Bytes m2, p2.GetOpaque());
   ASSIGN_OR_RETURN(util::Bytes sealed, p2.GetOpaque());

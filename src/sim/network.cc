@@ -173,8 +173,6 @@ uint64_t Link::SerializationNs(size_t bytes) const {
 }
 
 void Link::CountMessage(size_t bytes) {
-  ++messages_sent_;
-  bytes_sent_ += bytes;
   m_messages_->Increment();
   m_bytes_->Increment(bytes);
 }
@@ -213,7 +211,6 @@ uint64_t Link::Submit(const util::Bytes& request) {
       // Lost in transit: no arrival is ever scheduled; the sender's
       // retransmission timer is the only recovery.  The token is dead,
       // so its span bookkeeping goes with it.
-      ++drops_observed_;
       m_drops_->Increment();
       EraseTransitInfo(token);
       return token;
@@ -228,7 +225,6 @@ uint64_t Link::Submit(const util::Bytes& request) {
   const bool duplicate = interposer_ != nullptr && interposer_->DuplicateRequest();
   ScheduleRequestLeg(token, wire_request, ctx, /*is_duplicate=*/false);
   if (duplicate) {
-    ++duplicates_delivered_;
     m_duplicates_->Increment();
     ScheduleRequestLeg(token, wire_request, ctx, /*is_duplicate=*/true);
   }
@@ -285,7 +281,6 @@ void Link::CompleteResponse(uint64_t token, util::Result<util::Bytes> result) {
   if (interposer_ != nullptr) {
     auto intercepted = interposer_->OnResponse(std::move(wire_response));
     if (!intercepted.ok()) {
-      ++drops_observed_;
       m_drops_->Increment();
       EraseTransitInfo(token);
       return;
@@ -332,25 +327,7 @@ void Link::Deliver(Delivery delivery) {
   }
   if (sink_) {
     sink_(std::move(delivery));
-    return;
   }
-  ready_.push_back(std::move(delivery));
-}
-
-std::optional<Delivery> Link::AwaitNext(uint64_t deadline_ns) {
-  EventQueue* events = clock_->events();
-  while (ready_.empty() && events->next_time_ns() <= deadline_ns) {
-    events->RunOne();
-  }
-  if (!ready_.empty()) {
-    Delivery delivery = std::move(ready_.front());
-    ready_.pop_front();
-    return delivery;
-  }
-  if (deadline_ns > clock_->now_ns()) {
-    clock_->Advance(deadline_ns - clock_->now_ns(), obs::TimeCategory::kWait);
-  }
-  return std::nullopt;
 }
 
 util::Result<util::Bytes> Link::Roundtrip(const util::Bytes& request) {
@@ -362,7 +339,6 @@ util::Result<util::Bytes> Link::Roundtrip(const util::Bytes& request) {
       // up on the outstanding copy and resends the same wire bytes.
       clock_->Advance(rto, obs::TimeCategory::kWait);
       rto = std::min(rto * retry_policy_.backoff_factor, retry_policy_.max_rto_ns);
-      ++retransmissions_;
       m_retransmissions_->Increment();
     }
 
@@ -370,7 +346,6 @@ util::Result<util::Bytes> Link::Roundtrip(const util::Bytes& request) {
     if (interposer_ != nullptr) {
       auto intercepted = interposer_->OnRequest(std::move(wire_request));
       if (!intercepted.ok()) {
-        ++drops_observed_;
         m_drops_->Increment();
         last_drop = util::Unavailable("request dropped in transit: " +
                                       intercepted.status().message());
@@ -391,7 +366,6 @@ util::Result<util::Bytes> Link::Roundtrip(const util::Bytes& request) {
     if (interposer_ != nullptr && interposer_->DuplicateRequest()) {
       // The network delivers a second copy of the request.  The service
       // must deduplicate; its reply to the copy finds no one waiting.
-      ++duplicates_delivered_;
       m_duplicates_->Increment();
       ChargeOneWay(wire_request.size(), "link.send.dup");
       (void)service_->Handle(wire_request);
@@ -400,7 +374,6 @@ util::Result<util::Bytes> Link::Roundtrip(const util::Bytes& request) {
     if (interposer_ != nullptr) {
       auto intercepted = interposer_->OnResponse(std::move(wire_response));
       if (!intercepted.ok()) {
-        ++drops_observed_;
         m_drops_->Increment();
         last_drop = util::Unavailable("response dropped in transit: " +
                                       intercepted.status().message());

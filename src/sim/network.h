@@ -20,10 +20,11 @@
 // event on the far host; the Host admits it (or queues it behind a
 // concurrency limit, or sheds it past the queue depth), runs the handler
 // in a clock measure frame, and schedules a completion event; the reply
-// then takes the downlink as a delivery event.  Nothing executes inline
-// inside Submit, which makes the server a genuinely serial (or
-// C-parallel) resource shared by every link pointed at it and makes
-// inline-execution timing bugs structurally impossible.
+// then takes the downlink as a delivery event, which hands it to the
+// link's delivery sink.  Nothing executes inline inside Submit, which
+// makes the server a genuinely serial (or C-parallel) resource shared by
+// every link pointed at it and makes inline-execution timing bugs
+// structurally impossible.
 #ifndef SFS_SRC_SIM_NETWORK_H_
 #define SFS_SRC_SIM_NETWORK_H_
 
@@ -42,7 +43,7 @@
 
 namespace sim {
 
-// One reply arriving on a pipelined link (see Link::Submit/AwaitNext).
+// One reply arriving on a pipelined link (see Link::Submit).
 // `status` carries a service-level verdict (dead connection, malformed
 // message); transit loss produces no Delivery at all — the sender's
 // retransmission timer is the only signal.
@@ -295,44 +296,18 @@ class Link {
   // since duplicated/reordered replies can arrive under any token).
   uint64_t Submit(const util::Bytes& request);
 
-  // Runs the event loop until a delivery for THIS link is ready (it is
-  // returned; the gaps to intervening events are charged per-event: link
-  // transit to kLink, handler completions to their measured categories)
-  // or the next event lies beyond `deadline_ns` — then time advances to
-  // the deadline (charged kWait, the retransmission-timer idle) and
-  // nullopt is returned.
-  std::optional<Delivery> AwaitNext(uint64_t deadline_ns);
-
-  // Event-driven delivery: when set, deliveries are handed to `sink` at
-  // their delivery event instead of queueing for AwaitNext.  Fleet-scale
-  // harnesses drive one top-level EventQueue loop and let every client's
-  // completions flow through sinks, avoiding nested pumping.
+  // Receives every delivery at its delivery event; a delivery with no
+  // sink installed finds no one listening and is discarded.  One
+  // top-level EventQueue loop can drive any number of links this way.
   void set_delivery_sink(std::function<void(Delivery)> sink) {
     sink_ = std::move(sink);
   }
 
-  // True if a reply has arrived and not yet been consumed by AwaitNext.
-  bool HasPendingDelivery() const { return !ready_.empty(); }
+  // Counts a client-driven retransmission in link.retransmissions
+  // (pipelined callers resend on their own timers; Roundtrip's internal
+  // retry loop counts itself).
+  void NoteRetransmission() { m_retransmissions_->Increment(); }
 
-  // Counts a client-driven retransmission (pipelined callers resend on
-  // their own timers; Roundtrip's internal retry loop counts itself).
-  void NoteRetransmission() {
-    ++retransmissions_;
-    m_retransmissions_->Increment();
-  }
-
-  // Per-instance counters.  The same increments also feed the link.*
-  // aggregate counters in the registry, which is what benchmark
-  // reporting reads (bench/testbed.h); these accessors remain as shims
-  // for callers that care about one specific link.
-  uint64_t messages_sent() const { return messages_sent_; }
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  // Timer-driven resends of cached wire bytes (zero on a loss-free link).
-  uint64_t retransmissions() const { return retransmissions_; }
-  // Messages the interposer dropped in transit (both directions).
-  uint64_t drops_observed() const { return drops_observed_; }
-  // Requests the interposer delivered twice.
-  uint64_t duplicates_delivered() const { return duplicates_delivered_; }
   // In-flight span bookkeeping entries (bounded by in-flight tokens:
   // entries are erased at delivery and on every drop/shed — a live
   // token is never evicted).
@@ -356,7 +331,7 @@ class Link {
   // verdicts take the same downlink leg as success replies.
   void CompleteResponse(uint64_t token, util::Result<util::Bytes> result);
   void ScheduleResponseLeg(uint64_t token, util::Status status, util::Bytes response);
-  // Delivery-event time: record the transit span, then sink or queue.
+  // Delivery-event time: record the transit span, then hand to the sink.
   void Deliver(Delivery delivery);
   void EraseTransitInfo(uint64_t token);
   // Schedules on the clock's queue, tracking the id for cancellation at
@@ -371,19 +346,13 @@ class Link {
   std::unique_ptr<Host> owned_host_;
   Interposer* interposer_ = nullptr;
   RetryPolicy retry_policy_;
-  // Pipelined-mode state: replies delivered but not yet consumed, and
-  // busy-until watermarks for the two wire directions (the server's
-  // occupancy lives in the Host).
-  std::deque<Delivery> ready_;
+  // Pipelined-mode state: the delivery sink and busy-until watermarks
+  // for the two wire directions (the server's occupancy lives in the
+  // Host).
   std::function<void(Delivery)> sink_;
   uint64_t next_token_ = 1;
   uint64_t uplink_free_ns_ = 0;
   uint64_t downlink_free_ns_ = 0;
-  uint64_t messages_sent_ = 0;
-  uint64_t bytes_sent_ = 0;
-  uint64_t retransmissions_ = 0;
-  uint64_t drops_observed_ = 0;
-  uint64_t duplicates_delivered_ = 0;
   // Pipelined-mode span bookkeeping: the ambient span and submit time of
   // each in-flight token, so the delivery event can record a
   // "link.transit" span parented into the submitter's trace.  Entries
@@ -402,8 +371,8 @@ class Link {
   // Liveness token for closures handed to a shared Host: they capture a
   // weak copy and no-op once the link is gone.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  // The link.* counters live in the registry, shared across links.
   obs::Registry* registry_ = nullptr;
-  // Registry aggregates (shared across links on the same registry).
   obs::Counter* m_messages_ = nullptr;
   obs::Counter* m_bytes_ = nullptr;
   obs::Counter* m_retransmissions_ = nullptr;

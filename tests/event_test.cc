@@ -15,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,6 +48,32 @@ void ExpectLedgerBalanced(const sim::Clock& clock) {
   }
   EXPECT_EQ(total, clock.now_ns()) << "ledger does not sum to now_ns";
 }
+
+// Captures a link's deliveries at their delivery events; Next() runs the
+// event loop until one is in hand (nullopt once the queue drains first).
+class DeliveryCapture {
+ public:
+  explicit DeliveryCapture(sim::Link* link) : link_(link) {
+    link->set_delivery_sink([this](sim::Delivery delivery) {
+      captured_.push_back(std::move(delivery));
+    });
+  }
+
+  std::optional<sim::Delivery> Next() {
+    while (captured_.empty() && link_->clock()->events()->RunOne()) {
+    }
+    if (captured_.empty()) {
+      return std::nullopt;
+    }
+    sim::Delivery delivery = std::move(captured_.front());
+    captured_.pop_front();
+    return delivery;
+  }
+
+ private:
+  sim::Link* link_;
+  std::deque<sim::Delivery> captured_;
+};
 
 // --- EventQueue ------------------------------------------------------------
 
@@ -133,7 +161,7 @@ TEST(HostTest, BoundedQueueShedsAndRetransmissionRecovers) {
   // Shedding happened, produced no reply (only the retransmission timer
   // recovers a shed request), and every call still completed.
   EXPECT_GT(host.shed_count(), 0u);
-  EXPECT_GE(link.retransmissions(), host.shed_count());
+  EXPECT_GE(registry.CounterValue("link.retransmissions"), host.shed_count());
   EXPECT_EQ(completions, kCalls);
   EXPECT_EQ(client.in_flight(), 0u);
   EXPECT_EQ(registry.CounterValue("server.shed"), host.shed_count());
@@ -181,6 +209,7 @@ TEST(DifferentialTest, EventCoreMatchesWatermarkModelAtWindowOne) {
   FixedCostEcho event_echo(&event_clock, kServiceNs);
   sim::Link event_link(&event_clock, sim::LinkProfile::Udp(), &event_echo,
                        &event_registry);
+  DeliveryCapture event_deliveries(&event_link);
 
   for (int i = 0; i < kCalls; ++i) {
     const Bytes payload = BytesOf("differential " + std::to_string(i));
@@ -190,7 +219,7 @@ TEST(DifferentialTest, EventCoreMatchesWatermarkModelAtWindowOne) {
     EXPECT_EQ(inline_reply.value(), payload);
 
     const uint64_t token = event_link.Submit(payload);
-    auto delivery = event_link.AwaitNext(UINT64_MAX);
+    auto delivery = event_deliveries.Next();
     ASSERT_TRUE(delivery.has_value());
     EXPECT_EQ(delivery->token, token);
     ASSERT_TRUE(delivery->status.ok());
@@ -206,8 +235,10 @@ TEST(DifferentialTest, EventCoreMatchesWatermarkModelAtWindowOne) {
     EXPECT_EQ(event_ledger.ns[i], inline_ledger.ns[i])
         << "category " << obs::TimeCategoryName(static_cast<TimeCategory>(i));
   }
-  EXPECT_EQ(inline_link.messages_sent(), event_link.messages_sent());
-  EXPECT_EQ(inline_link.bytes_sent(), event_link.bytes_sent());
+  EXPECT_EQ(inline_registry.CounterValue("link.messages"),
+            event_registry.CounterValue("link.messages"));
+  EXPECT_EQ(inline_registry.CounterValue("link.bytes"),
+            event_registry.CounterValue("link.bytes"));
   ExpectLedgerBalanced(inline_clock);
   ExpectLedgerBalanced(event_clock);
 }
@@ -241,11 +272,12 @@ TEST(LinkTimingTest, ErrorVerdictTakesTheFullDownlinkLeg) {
     obs::Registry registry;
     VerdictService service(&clock);
     sim::Link link(&clock, sim::LinkProfile::Udp(), &service, &registry);
+    DeliveryCapture deliveries(&link);
     link.Submit(BytesOf(request));
-    auto delivery = link.AwaitNext(UINT64_MAX);
+    auto delivery = deliveries.Next();
     EXPECT_TRUE(delivery.has_value());
     EXPECT_EQ(delivery->status.ok(), expect_ok);
-    EXPECT_EQ(link.messages_sent(), 2u) << "request + reply, success or not";
+    EXPECT_EQ(registry.CounterValue("link.messages"), 2u) << "request + reply, success or not";
     ExpectLedgerBalanced(clock);
     return clock.now_ns();
   };
@@ -282,10 +314,11 @@ TEST(LinkTimingTest, DuplicateDeliveryOccupiesTheSerialServer) {
     FixedCostEcho echo(&clock, kServiceNs);
     sim::Link link(&clock, sim::LinkProfile::Udp(), &echo, &registry);
     link.set_interposer(interposer);
+    DeliveryCapture deliveries(&link);
     link.Submit(BytesOf("request A"));
     link.Submit(BytesOf("request B"));
-    for (int deliveries = 0; deliveries < 2; ++deliveries) {
-      auto delivery = link.AwaitNext(UINT64_MAX);
+    for (int i = 0; i < 2; ++i) {
+      auto delivery = deliveries.Next();
       EXPECT_TRUE(delivery.has_value());
       EXPECT_TRUE(delivery->status.ok());
     }
@@ -296,8 +329,9 @@ TEST(LinkTimingTest, DuplicateDeliveryOccupiesTheSerialServer) {
       uint64_t duplicates;
       uint64_t arrivals;
     };
-    return Outcome{clock.now_ns(), link.messages_sent(),
-                   link.duplicates_delivered(), link.host()->arrivals()};
+    return Outcome{clock.now_ns(), registry.CounterValue("link.messages"),
+                   registry.CounterValue("link.duplicates_delivered"),
+                   link.host()->arrivals()};
   };
 
   const auto plain = run(nullptr);
@@ -340,6 +374,7 @@ TEST(TransitInfoTest, EntriesLiveExactlyAsLongAsTheirTokens) {
       });
   FixedCostEcho echo(&clock, 10'000);
   sim::Link link(&clock, sim::LinkProfile::Udp(), &echo, &registry);
+  DeliveryCapture deliveries(&link);
 
   // Far more in-flight tokens than the old cap tolerated: all live, all
   // tracked.
@@ -350,7 +385,7 @@ TEST(TransitInfoTest, EntriesLiveExactlyAsLongAsTheirTokens) {
   EXPECT_EQ(link.transit_info_size(), kInFlight)
       << "live tokens must never be evicted";
   for (uint64_t i = 0; i < kInFlight; ++i) {
-    auto delivery = link.AwaitNext(UINT64_MAX);
+    auto delivery = deliveries.Next();
     ASSERT_TRUE(delivery.has_value());
   }
   EXPECT_EQ(link.transit_info_size(), 0u) << "delivery erases the entry";
@@ -360,7 +395,7 @@ TEST(TransitInfoTest, EntriesLiveExactlyAsLongAsTheirTokens) {
   link.set_interposer(&black_hole);
   link.Submit(BytesOf("doomed"));
   EXPECT_EQ(link.transit_info_size(), 0u) << "drop erases the entry";
-  EXPECT_EQ(link.drops_observed(), 1u);
+  EXPECT_EQ(registry.CounterValue("link.drops"), 1u);
   link.set_interposer(nullptr);
   ExpectLedgerBalanced(clock);
 }
@@ -382,12 +417,13 @@ TEST(TransitInfoTest, ShedArrivalsPruneTheirEntries) {
   options.queue_depth = 0;  // No queue: anything beyond the slot is shed.
   sim::Host host(&clock, &echo, &registry, options);
   sim::Link link(&clock, sim::LinkProfile::Udp(), &host, &registry);
+  DeliveryCapture deliveries(&link);
 
   // Three near-simultaneous arrivals: one serves, two are shed.
   link.Submit(BytesOf("request 1"));
   link.Submit(BytesOf("request 2"));
   link.Submit(BytesOf("request 3"));
-  auto delivery = link.AwaitNext(UINT64_MAX);
+  auto delivery = deliveries.Next();
   ASSERT_TRUE(delivery.has_value());
   clock.events()->RunUntil(UINT64_MAX);  // Drain any remaining events.
   EXPECT_EQ(host.shed_count(), 2u);

@@ -42,6 +42,7 @@ class FaultTest : public ::testing::Test {
     SfsServer::Options server_options;
     server_options.location = "faulty.example.org";
     server_options.key_bits = kKeyBits;
+    server_options.registry = &registry_;
     server_ = std::make_unique<SfsServer>(&clock_, &costs_, server_options, &authserver_);
 
     // Anonymous users may mutate the exported tree: the workload then
@@ -55,6 +56,7 @@ class FaultTest : public ::testing::Test {
 
     SfsClient::Options client_options;
     client_options.ephemeral_key_bits = kKeyBits;
+    client_options.registry = &registry_;
     client_ = std::make_unique<SfsClient>(
         &clock_, &costs_,
         [this](const std::string&) { return server_.get(); }, client_options);
@@ -94,6 +96,9 @@ class FaultTest : public ::testing::Test {
     return *mount;
   }
 
+  uint64_t Count(const std::string& counter) const { return registry_.CounterValue(counter); }
+
+  obs::Registry registry_;
   sim::Clock clock_;
   sim::CostModel costs_;
   auth::AuthServer authserver_;
@@ -106,9 +111,9 @@ TEST_F(FaultTest, CleanRunHasZeroRetransmissions) {
   // path — no retransmissions, no duplicate-cache hits, no stale retries.
   SfsClient::MountPoint* mount = RunWorkload(8);
   ASSERT_NE(mount, nullptr);
-  EXPECT_EQ(mount->link()->retransmissions(), 0u);
-  EXPECT_EQ(mount->stale_retries(), 0u);
-  EXPECT_EQ(server_->drc_hits(), 0u);
+  EXPECT_EQ(Count("link.retransmissions"), 0u);
+  EXPECT_EQ(Count("rpc.client.stale_retries"), 0u);
+  EXPECT_EQ(Count("server.drc_hits"), 0u);
   EXPECT_EQ(server_->fs()->creates_applied(), 8u);
   EXPECT_EQ(server_->fs()->removes_applied(), 4u);
 }
@@ -121,8 +126,8 @@ TEST_F(FaultTest, AcceptanceProfileDropAndDuplicate) {
   ASSERT_NE(mount, nullptr);
   // The seed is fixed, so the run deterministically saw faults...
   EXPECT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
-  EXPECT_GT(mount->link()->retransmissions(), 0u);
-  EXPECT_GT(server_->drc_hits(), 0u);
+  EXPECT_GT(Count("link.retransmissions"), 0u);
+  EXPECT_GT(Count("server.drc_hits"), 0u);
   // ...yet every non-idempotent op executed exactly once (a re-executed
   // CREATE would also have surfaced as kExist above).
   EXPECT_EQ(server_->fs()->creates_applied(), 16u);
@@ -178,7 +183,7 @@ TEST_F(FaultTest, EveryRequestDuplicatedExecutesExactlyOnce) {
   SfsClient::MountPoint* mount = RunWorkload(6);
   ASSERT_NE(mount, nullptr);
   EXPECT_GT(lossy.duplicates(), 0u);
-  EXPECT_EQ(server_->drc_hits(), lossy.duplicates());
+  EXPECT_EQ(Count("server.drc_hits"), lossy.duplicates());
   EXPECT_EQ(server_->fs()->creates_applied(), 6u);
   EXPECT_EQ(server_->fs()->removes_applied(), 3u);
 }
@@ -290,7 +295,7 @@ TEST_F(FaultTest, DroppedCommitRepliesRetransmitExactlyOnce) {
   EXPECT_EQ(server_->fs()->unstable_bytes(), data.size());
 
   uint64_t commits_before = server_->fs()->commits_applied();
-  uint64_t retrans_before = (*mount)->link()->retransmissions();
+  uint64_t retrans_before = registry.CounterValue("link.retransmissions");
   dropper.Arm(2);  // Lose the next two COMMIT replies.
   ASSERT_EQ(fs->Commit(fh), Stat::kOk);
 
@@ -298,8 +303,8 @@ TEST_F(FaultTest, DroppedCommitRepliesRetransmitExactlyOnce) {
   // retransmitted copies were answered from the server's reply cache —
   // the COMMIT executed exactly once, not three times.
   EXPECT_EQ(dropper.dropped(), 2u);
-  EXPECT_GE((*mount)->link()->retransmissions() - retrans_before, 2u);
-  EXPECT_GT(server_->drc_hits(), 0u);
+  EXPECT_GE(registry.CounterValue("link.retransmissions") - retrans_before, 2u);
+  EXPECT_GT(Count("server.drc_hits"), 0u);
   EXPECT_EQ(server_->fs()->commits_applied() - commits_before, 1u);
   EXPECT_EQ(server_->fs()->unstable_bytes(), 0u);
   EXPECT_EQ((*mount)->cache()->commit_replays(), 0u);
@@ -344,7 +349,7 @@ TEST_F(FaultTest, WriteBehindWorkloadSurvivesSeededLoss) {
 
   // The seed deterministically injected faults and the stack masked them.
   EXPECT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
-  EXPECT_GT((*mount)->link()->retransmissions() + server_->drc_hits(), 0u);
+  EXPECT_GT(registry.CounterValue("link.retransmissions") + Count("server.drc_hits"), 0u);
   // Exactly-once: server-side WRITE executions match the extents the
   // pipeline sent (a re-executed retransmit would double-count).
   EXPECT_EQ(server_->fs()->writes_applied() - writes_before,
@@ -362,17 +367,18 @@ TEST_F(FaultTest, WriteBehindWorkloadSurvivesSeededLoss) {
 
 TEST(RpcFaultTest, LossyLinkMasksFaultsWithExactlyOnceDispatch) {
   sim::Clock clock;
-  rpc::Dispatcher dispatcher;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry);
   uint64_t executions = 0;
   dispatcher.RegisterProgram(9, [&executions](uint32_t, const Bytes& args) {
     ++executions;
     return util::Result<Bytes>(args);
   });
-  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher);
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, &registry);
   sim::LossyInterposer lossy(/*seed=*/99, {.drop = 0.05, .duplicate = 0.05});
   link.set_interposer(&lossy);
   rpc::LinkTransport transport(&link);
-  rpc::Client client(&transport, 9);
+  rpc::Client client(&transport, 9, &registry);
 
   constexpr uint64_t kCalls = 200;
   for (uint64_t i = 0; i < kCalls; ++i) {
@@ -382,8 +388,8 @@ TEST(RpcFaultTest, LossyLinkMasksFaultsWithExactlyOnceDispatch) {
   }
   // Faults occurred, retransmission masked them, and the handler still
   // ran exactly once per call.
-  EXPECT_GT(link.retransmissions(), 0u);
-  EXPECT_GT(dispatcher.drc_hits(), 0u);
+  EXPECT_GT(registry.CounterValue("link.retransmissions"), 0u);
+  EXPECT_GT(registry.CounterValue("server.drc_hits"), 0u);
   EXPECT_EQ(executions, kCalls);
 }
 
@@ -394,17 +400,18 @@ TEST(RpcFaultTest, PipelinedWindowSweepMasksFaultsExactlyOnce) {
   for (uint32_t window : {2u, 4u, 8u}) {
     SCOPED_TRACE("window=" + std::to_string(window));
     sim::Clock clock;
-    rpc::Dispatcher dispatcher;
+    obs::Registry registry;
+    rpc::Dispatcher dispatcher(&registry);
     std::map<std::string, uint64_t> executions;
     dispatcher.RegisterProgram(9, [&executions](uint32_t, const Bytes& args) {
       ++executions[util::StringOf(args)];
       return util::Result<Bytes>(args);
     });
-    sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher);
+    sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, &registry);
     sim::LossyInterposer lossy(/*seed=*/500 + window, {.drop = 0.05, .duplicate = 0.05});
     link.set_interposer(&lossy);
     rpc::LinkTransport transport(&link);
-    rpc::Client client(&transport, 9);
+    rpc::Client client(&transport, 9, &registry);
     client.set_window(window);
     ASSERT_EQ(client.window(), window);
 
@@ -439,25 +446,28 @@ TEST(RpcFaultTest, PipelinedWindowSweepMasksFaultsExactlyOnce) {
     // The seed deterministically injected faults and the window machinery
     // masked them.
     EXPECT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
-    EXPECT_GT(link.retransmissions() + dispatcher.drc_hits(), 0u);
+    EXPECT_GT(registry.CounterValue("link.retransmissions") +
+                  registry.CounterValue("server.drc_hits"),
+              0u);
   }
 }
 
 TEST(RpcFaultTest, CleanLinkNeverRetransmits) {
   sim::Clock clock;
-  rpc::Dispatcher dispatcher;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry);
   dispatcher.RegisterProgram(9, [](uint32_t, const Bytes& args) {
     return util::Result<Bytes>(args);
   });
-  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher);
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, &registry);
   rpc::LinkTransport transport(&link);
-  rpc::Client client(&transport, 9);
+  rpc::Client client(&transport, 9, &registry);
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(client.Call(1, BytesOf("x")).ok());
   }
-  EXPECT_EQ(link.retransmissions(), 0u);
-  EXPECT_EQ(client.retransmissions(), 0u);
-  EXPECT_EQ(dispatcher.drc_hits(), 0u);
+  EXPECT_EQ(registry.CounterValue("link.retransmissions"), 0u);
+  EXPECT_EQ(registry.CounterValue("rpc.client.stale_retries"), 0u);
+  EXPECT_EQ(registry.CounterValue("server.drc_hits"), 0u);
 }
 
 }  // namespace

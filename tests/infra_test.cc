@@ -203,15 +203,16 @@ class EchoService : public sim::Service {
 
 TEST(LinkTest, RoundtripChargesBothDirections) {
   sim::Clock clock;
+  obs::Registry registry;
   EchoService echo;
-  sim::Link link(&clock, sim::LinkProfile::Udp(), &echo);
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &echo, &registry);
   auto reply = link.Roundtrip(Bytes(1000, 1));
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->size(), 1000u);
   // 2 x (latency 45us + per-message 25us + 1000B/12.5MBps = 80us).
   EXPECT_NEAR(static_cast<double>(clock.now_ns()), 2 * (45'000 + 25'000 + 80'000), 2'000);
-  EXPECT_EQ(link.messages_sent(), 2u);
-  EXPECT_EQ(link.bytes_sent(), 2000u);
+  EXPECT_EQ(registry.CounterValue("link.messages"), 2u);
+  EXPECT_EQ(registry.CounterValue("link.bytes"), 2000u);
 }
 
 TEST(LinkTest, LocalProfileIsFree) {
@@ -245,7 +246,10 @@ TEST(LinkTest, InterposerCanDropRequests) {
 
 class RpcFixture : public ::testing::Test {
  protected:
-  RpcFixture() : link_(&clock_, sim::LinkProfile::Local(), &dispatcher_), transport_(&link_) {
+  RpcFixture()
+      : dispatcher_(&registry_),
+        link_(&clock_, sim::LinkProfile::Local(), &dispatcher_, &registry_),
+        transport_(&link_) {
     dispatcher_.RegisterProgram(77, [this](uint32_t proc, const Bytes& args) {
       return Handler(proc, args);
     });
@@ -264,17 +268,18 @@ class RpcFixture : public ::testing::Test {
   }
 
   sim::Clock clock_;
+  obs::Registry registry_;
   rpc::Dispatcher dispatcher_;
   sim::Link link_;
   rpc::LinkTransport transport_;
 };
 
 TEST_F(RpcFixture, CallAndReply) {
-  rpc::Client client(&transport_, 77);
+  rpc::Client client(&transport_, 77, &registry_);
   auto reply = client.Call(1, BytesOf("abc"));
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(util::StringOf(reply.value()), "cba");
-  EXPECT_EQ(client.calls_made(), 1u);
+  EXPECT_EQ(registry_.CounterValue("rpc.client.PROG77.1.calls"), 1u);
 }
 
 TEST_F(RpcFixture, HandlerErrorsPropagateWithCode) {
@@ -310,13 +315,13 @@ class XidRewriter : public sim::Interposer {
 TEST_F(RpcFixture, MismatchedXidDetected) {
   XidRewriter rewriter;
   link_.set_interposer(&rewriter);
-  rpc::Client client(&transport_, 77);
+  rpc::Client client(&transport_, 77, &registry_);
   auto reply = client.Call(1, BytesOf("x"));
   EXPECT_EQ(reply.status().code(), util::ErrorCode::kUnavailable);
   // Every reply was stale, so the client kept retransmitting; the
   // dispatcher answered the repeats from its duplicate-request cache.
-  EXPECT_GT(client.retransmissions(), 0u);
-  EXPECT_GT(dispatcher_.drc_hits(), 0u);
+  EXPECT_GT(registry_.CounterValue("rpc.client.stale_retries"), 0u);
+  EXPECT_GT(registry_.CounterValue("server.drc_hits"), 0u);
 }
 
 // --- Status / Result ---------------------------------------------------------------

@@ -414,12 +414,6 @@ TEST_F(ObsTest, LossyRunShowsExactlyOnceDeliveryInTrace) {
   for (const auto& [seqno, n] : dispatches_by_seqno) {
     EXPECT_EQ(n, 1) << "seqno " << seqno << " dispatched " << n << " times";
   }
-
-  // The dedup plumbing shims agree with the registry aggregates.
-  EXPECT_EQ(registry_.CounterValue("server.drc_hits"), server_->drc_hits());
-  EXPECT_EQ(mount->link()->retransmissions(),
-            registry_.CounterValue("link.retransmissions"));
-  EXPECT_EQ(mount->stale_retries(), registry_.CounterValue("rpc.client.stale_retries"));
 }
 
 // --- Pipelined channel: exactly-once at every swept window size --------------
@@ -444,7 +438,7 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
     const size_t skip = sink_.Events().size();
     auto mount = client.Mount(server_->Path());
     ASSERT_TRUE(mount.ok()) << mount.status().ToString();
-    EXPECT_EQ((*mount)->window(), window);
+    EXPECT_EQ((*mount)->rpc()->window(), window);
 
     nfs::FileSystemApi* fs = (*mount)->fs();
     const Credentials cred = Credentials::User(0);
@@ -462,8 +456,8 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
       EXPECT_EQ(data, BytesOf(name));
       ASSERT_EQ(fs->Remove((*mount)->root_fh(), name, cred), Stat::kOk);
     }
-    (*mount)->Drain();
-    EXPECT_EQ((*mount)->in_flight(), 0u);
+    (*mount)->rpc()->Drain();
+    EXPECT_EQ((*mount)->rpc()->in_flight(), 0u);
 
     // This window's slice of the trace (the ring is large enough that
     // nothing from this run has been evicted).

@@ -98,8 +98,6 @@ TEST(PipelineTest, CleanWindowRunPublishesOccupancyAndQueueWait) {
   constexpr uint32_t kCalls = 64;
   stack.Run(kCalls);
   EXPECT_EQ(stack.client->in_flight(), 0u);
-  EXPECT_EQ(stack.client->unmatched_replies(), 0u);
-  EXPECT_EQ(stack.link->retransmissions(), 0u);
   EXPECT_EQ(stack.registry.CounterValue("rpc.client.unmatched_replies"), 0u);
   EXPECT_EQ(stack.registry.CounterValue("link.retransmissions"), 0u);
 
@@ -124,6 +122,98 @@ TEST(PipelineTest, WindowIsClampedToMaximum) {
   RpcStack stack(1);
   stack.client->set_window(1'000'000);
   EXPECT_EQ(stack.client->window(), rpc::kMaxSendWindow);
+}
+
+// --- Window 1: the stop-and-wait timing contract ----------------------------
+//
+// At window 1 a call waits for its reply however long the server takes:
+// the link masks transit loss, and nothing above it resends a request
+// that is merely slow.  Every committed paper figure runs in this regime,
+// where a 4 MB COMMIT takes longer than the 200 ms initial timeout.
+
+// One call at window 1 against a handler charging `service_ns` of disk
+// time; returns the elapsed virtual time.
+uint64_t StopAndWaitElapsed(uint64_t service_ns, obs::Registry* registry) {
+  sim::Clock clock;
+  rpc::Dispatcher dispatcher(registry, &clock);
+  dispatcher.RegisterProgram(9, [&clock, service_ns](uint32_t, const Bytes& args) {
+    clock.Advance(service_ns, obs::TimeCategory::kDisk);
+    return util::Result<Bytes>(args);
+  });
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, registry);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, registry);
+  auto reply = client.Call(1, BytesOf("slow"));
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  return clock.now_ns();
+}
+
+TEST(StopAndWaitContractTest, SlowHandlerIsWaitedForNotResent) {
+  obs::Registry slow_registry;
+  obs::Registry fast_registry;
+  const uint64_t slow = StopAndWaitElapsed(250'000'000, &slow_registry);
+  const uint64_t fast = StopAndWaitElapsed(50'000'000, &fast_registry);
+  // Only the handler's extra 200 ms separates the two runs: no timer
+  // fired, no copy was resent, and the server ran each call once.
+  EXPECT_EQ(slow - fast, 200'000'000u);
+  for (const obs::Registry* registry : {&slow_registry, &fast_registry}) {
+    EXPECT_EQ(registry->CounterValue("link.retransmissions"), 0u);
+    EXPECT_EQ(registry->CounterValue("rpc.client.stale_retries"), 0u);
+    EXPECT_EQ(registry->CounterValue("server.drc_hits"), 0u);
+    EXPECT_EQ(registry->CounterValue("rpc.client.unmatched_replies"), 0u);
+  }
+}
+
+TEST(StopAndWaitContractTest, LongSfsCommitIsWaitedForNotResent) {
+  sim::Clock clock;
+  sim::CostModel costs;
+  obs::Registry registry;
+  auth::AuthServer authserver;
+  SfsServer::Options so;
+  so.location = "commit.example.org";
+  so.key_bits = 512;
+  so.registry = &registry;
+  sfs::SfsServer server(&clock, &costs, so, &authserver);
+  Fattr attr;
+  nfs::Sattr chmod;
+  chmod.mode = 0777;
+  ASSERT_EQ(server.fs()->SetAttr(server.fs()->root_handle(), Credentials::User(0), chmod,
+                                 &attr),
+            Stat::kOk);
+  sfs::SfsClient::Options co;
+  co.ephemeral_key_bits = 512;
+  co.write_behind = true;
+  co.registry = &registry;
+  sfs::SfsClient client(&clock, &costs, [&](const std::string&) { return &server; }, co);
+  auto mount = client.Mount(server.Path());
+  ASSERT_TRUE(mount.ok()) << mount.status().ToString();
+
+  nfs::FileSystemApi* fs = (*mount)->fs();
+  const Credentials cred = Credentials::User(0);
+  FileHandle fh;
+  ASSERT_EQ(fs->Create((*mount)->root_fh(), "big", cred, nfs::Sattr{}, &fh, &attr), Stat::kOk);
+  constexpr uint64_t kChunk = 64 * 1024;
+  // Exactly the default write-behind bound: nothing flushes early.
+  constexpr uint64_t kBytes = 4 * 1024 * 1024;
+  for (uint64_t offset = 0; offset < kBytes; offset += kChunk) {
+    ASSERT_EQ(fs->Write(fh, cred, offset, Bytes(kChunk, 0x4d), /*stable=*/false, &attr),
+              Stat::kOk);
+  }
+  // Read barrier: every extent goes out as WRITE(UNSTABLE), so the
+  // COMMIT below is one RPC whose handler flushes all of it to disk.
+  (*mount)->cache()->InvalidateAll();
+  ASSERT_EQ(fs->GetAttr(fh, &attr), Stat::kOk);
+  ASSERT_GE(server.fs()->unstable_bytes(), 4u * 1024 * 1024);
+
+  const uint64_t commit_start = clock.now_ns();
+  ASSERT_EQ(fs->Commit(fh), Stat::kOk);
+  EXPECT_GT(clock.now_ns() - commit_start, sim::RetryPolicy().initial_rto_ns)
+      << "the COMMIT must outlast the initial retransmission timeout";
+  EXPECT_EQ(server.fs()->unstable_bytes(), 0u);
+  EXPECT_EQ(registry.CounterValue("link.retransmissions"), 0u);
+  EXPECT_EQ(registry.CounterValue("rpc.client.stale_retries"), 0u);
+  EXPECT_EQ(registry.CounterValue("server.drc_hits"), 0u);
+  EXPECT_EQ(registry.CounterValue("rpc.client.unmatched_replies"), 0u);
 }
 
 // --- CachingFs read-ahead / prefetch against a scripted async backend --------
@@ -330,6 +420,8 @@ TEST(SfsPipelineTest, CleanPipelinedWorkloadLeavesNoRetryResidue) {
     SfsServer::Options so;
     so.location = "pipeline.example.org";
     so.key_bits = 512;
+    obs::Registry registry;
+    so.registry = &registry;
     sfs::SfsServer server(&clock, &costs, so, &authserver);
     Fattr attr;
     nfs::Sattr chmod;
@@ -340,11 +432,12 @@ TEST(SfsPipelineTest, CleanPipelinedWorkloadLeavesNoRetryResidue) {
     sfs::SfsClient::Options co;
     co.ephemeral_key_bits = 512;
     co.window = window;
+    co.registry = &registry;
     sfs::SfsClient client(&clock, &costs, [&](const std::string&) { return &server; }, co);
 
     auto mount = client.Mount(server.Path());
     ASSERT_TRUE(mount.ok()) << mount.status().ToString();
-    EXPECT_EQ((*mount)->window(), window);
+    EXPECT_EQ((*mount)->rpc()->window(), window);
 
     nfs::FileSystemApi* fs = (*mount)->fs();
     const Credentials cred = Credentials::User(0);
@@ -359,14 +452,14 @@ TEST(SfsPipelineTest, CleanPipelinedWorkloadLeavesNoRetryResidue) {
       ASSERT_EQ(fs->Read(fh, cred, 0, 4096, &data, &eof), Stat::kOk);
       EXPECT_EQ(data, BytesOf(name));
     }
-    (*mount)->Drain();
+    (*mount)->rpc()->Drain();
 
     // The retry/dedup machinery stayed invisible on the clean path.
-    EXPECT_EQ((*mount)->in_flight(), 0u);
-    EXPECT_EQ((*mount)->unmatched_replies(), 0u);
-    EXPECT_EQ((*mount)->stale_retries(), 0u);
-    EXPECT_EQ((*mount)->link()->retransmissions(), 0u);
-    EXPECT_EQ(server.drc_hits(), 0u);
+    EXPECT_EQ((*mount)->rpc()->in_flight(), 0u);
+    EXPECT_EQ(registry.CounterValue("rpc.client.unmatched_replies"), 0u);
+    EXPECT_EQ(registry.CounterValue("rpc.client.stale_retries"), 0u);
+    EXPECT_EQ(registry.CounterValue("link.retransmissions"), 0u);
+    EXPECT_EQ(registry.CounterValue("server.drc_hits"), 0u);
     EXPECT_EQ(server.fs()->creates_applied(), 8u);
   }
 }

@@ -2,12 +2,17 @@
 // channel-cipher behavior under sustained use.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/crypto/prng.h"
 #include "src/crypto/sha1.h"
 #include "src/sfs/pathname.h"
+#include "src/sfs/proto.h"
 #include "src/sfs/session.h"
+#include "src/sim/network.h"
+#include "src/xdr/xdr.h"
 
 namespace {
 
@@ -177,6 +182,91 @@ TEST(ChannelCipherTest, WireBytesArePinned) {
     ASSERT_TRUE(opened.ok()) << "frame " << i;
     EXPECT_EQ(opened.value(), messages[i]) << "frame " << i;
   }
+}
+
+// --- ChannelTransport: in-order opening over an out-of-order wire ----------
+
+// Never reached: the tests below hand frames to the transport directly.
+class UnusedService : public sim::Service {
+ public:
+  util::Result<Bytes> Handle(const Bytes&) override { return util::Unavailable("unused"); }
+};
+
+class ChannelTransportTest : public ::testing::Test {
+ protected:
+  ChannelTransportTest()
+      : link_(&clock_, sim::LinkProfile::Tcp(), &service_, &registry_),
+        channel_(&link_, &costs_, &registry_, std::make_unique<ChannelCipher>(kcs_),
+                 std::make_unique<ChannelCipher>(ksc_)),
+        server_seal_(ksc_) {}
+
+  // The server's reply frame for `seqno` (whose xid is the seqno too),
+  // sealed at the server's next keystream position.
+  Bytes ServerReply(uint32_t seqno) {
+    xdr::Encoder body;
+    body.PutUint32(seqno);
+    body.PutUint32(0);  // Accepted.
+    body.PutOpaque(BytesOf("results " + std::to_string(seqno)));
+    xdr::Encoder frame;
+    frame.PutUint32(seqno);
+    frame.PutOpaque(server_seal_.Seal(body.Take()));
+    return sfs::FrameMessage(sfs::kMsgEncrypted, frame.Take());
+  }
+
+  // Unframes `message` and returns the xids it released; -1 marks a
+  // discarded message.
+  std::vector<int64_t> Deliver(const Bytes& message) {
+    std::vector<int64_t> xids;
+    for (util::Result<Bytes>& reply :
+         channel_.Unframe(message, [](uint32_t) { return obs::SpanContext{}; })) {
+      if (!reply.ok()) {
+        xids.push_back(-1);
+        continue;
+      }
+      xdr::Decoder dec(std::move(reply).value());
+      xids.push_back(dec.GetUint32().value());
+    }
+    return xids;
+  }
+
+  const Bytes kcs_ = Bytes(20, 0x11);
+  const Bytes ksc_ = Bytes(20, 0x22);
+  sim::Clock clock_;
+  sim::CostModel costs_;
+  obs::Registry registry_;
+  UnusedService service_;
+  sim::Link link_;
+  sfs::ChannelTransport channel_;
+  ChannelCipher server_seal_;
+};
+
+TEST_F(ChannelTransportTest, RepliesOpenInSeqnoOrderWhateverTheArrivalOrder) {
+  for (uint32_t seqno = 1; seqno <= 3; ++seqno) {
+    channel_.Frame(seqno, BytesOf("call"));
+  }
+  const Bytes r1 = ServerReply(1);
+  const Bytes r2 = ServerReply(2);
+  const Bytes r3 = ServerReply(3);
+  // Early replies are held, not opened: the keystream is at seqno 1.
+  EXPECT_TRUE(Deliver(r3).empty());
+  EXPECT_TRUE(Deliver(r2).empty());
+  // The gap fills and everything held opens, in seqno order — whether or
+  // not a call still waits for it, so no reply wedges the ones behind it.
+  EXPECT_EQ(Deliver(r1), (std::vector<int64_t>{1, 2, 3}));
+  // A duplicate of an opened reply is discarded unread.
+  EXPECT_EQ(Deliver(r2), (std::vector<int64_t>{-1}));
+}
+
+TEST_F(ChannelTransportTest, DiscardsLeaveTheCursorForTheGenuineReply) {
+  channel_.Frame(1, BytesOf("call"));
+  const Bytes reply = ServerReply(1);
+  // A reply for a seqno never sent is not held.
+  EXPECT_EQ(Deliver(ServerReply(2)), (std::vector<int64_t>{-1}));
+  // A tampered copy fails to open; the receive keystream stays put.
+  Bytes tampered = reply;
+  tampered.back() ^= 0x01;
+  EXPECT_EQ(Deliver(tampered), (std::vector<int64_t>{-1}));
+  EXPECT_EQ(Deliver(reply), (std::vector<int64_t>{1}));
 }
 
 TEST(NegotiationTest, WrongSizeServerHalvesRejected) {

@@ -38,10 +38,12 @@ class SfsTest : public ::testing::Test {
     server_options.location = "sfs.lcs.mit.edu";
     server_options.key_bits = kKeyBits;
     server_options.allow_cleartext = true;
+    server_options.registry = &registry_;
     server_ = std::make_unique<SfsServer>(&clock_, &costs_, server_options, &authserver_);
 
     SfsClient::Options client_options;
     client_options.ephemeral_key_bits = kKeyBits;
+    client_options.registry = &registry_;
     client_ = std::make_unique<SfsClient>(
         &clock_, &costs_,
         [this](const std::string& location) -> SfsServer* {
@@ -77,6 +79,7 @@ class SfsTest : public ::testing::Test {
     return [](const Bytes&, uint32_t) { return std::nullopt; };
   }
 
+  obs::Registry registry_;
   sim::Clock clock_;
   sim::CostModel costs_;
   auth::AuthServer authserver_;
@@ -395,8 +398,8 @@ TEST_F(SfsTest, ReplayedChannelMessagesAreDeduplicatedNotReexecuted) {
   Stat s = (*mount)->fs()->Create((*mount)->root_fh(), "replayed-create",
                                   Credentials::User(0), nfs::Sattr{}, &fh, &attr);
   EXPECT_EQ(s, Stat::kOk);
-  EXPECT_GT(server_->drc_hits(), 0u);
-  EXPECT_GT((*mount)->stale_retries(), 0u);
+  EXPECT_GT(registry_.CounterValue("server.drc_hits"), 0u);
+  EXPECT_GT(registry_.CounterValue("rpc.client.stale_retries"), 0u);
   EXPECT_EQ(server_->fs()->creates_applied(), creates_before + 1);
 }
 

@@ -111,7 +111,7 @@ class SpanStack {
       ASSERT_EQ(fs->Remove(mount->root_fh(), "span-" + std::to_string(i), cred),
                 Stat::kOk);
     }
-    mount->Drain();
+    mount->rpc()->Drain();
   }
 
   std::vector<obs::Span> Collect() {
@@ -151,6 +151,15 @@ void CheckSpanInvariants(const std::vector<obs::Span>& spans, bool strict_nestin
       EXPECT_EQ(span.CategoryTotalNs(), 0u);
     } else {
       EXPECT_EQ(span.CategoryTotalNs(), span.duration_ns());
+    }
+
+    // Channel crypto, client or server side, is charged inside the call
+    // that sealed or opened it.
+    if (span.name == "sfs.seal" || span.name == "sfs.open") {
+      auto call_it = by_id.find(span.parent_id);
+      ASSERT_NE(call_it, by_id.end()) << span.name << " outside any call";
+      EXPECT_EQ(call_it->second->name.rfind("sfs.call.", 0), 0u)
+          << span.name << " parented under " << call_it->second->name;
     }
 
     if (span.parent_id == 0) {
