@@ -263,7 +263,7 @@ class Testbed {
   }
 
   // Requests the server answered from its duplicate-request cache
-  // (rpc::Dispatcher's DRC or sfs::ServerConnection's reply cache).
+  // (rpc::Dispatcher's, on plain RPC and the SFS channel alike).
   uint64_t DrcHits() { return registry_.CounterValue("server.drc_hits"); }
 
   bool IsSfs() const {

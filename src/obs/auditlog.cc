@@ -73,8 +73,6 @@ const char* AuditKindName(AuditKind kind) {
       return "REVOKE_SERVED";
     case AuditKind::kRevocationInstalled:
       return "REVOKE_INSTALLED";
-    case AuditKind::kOther:
-      return "OTHER";
   }
   return "?";
 }

@@ -51,7 +51,6 @@ enum class AuditKind : uint32_t {
   kConnect = 3,           // Connect request (proc = ConnectResult).
   kRevocationServed = 4,  // Revocation certificate answered a connect.
   kRevocationInstalled = 5,  // ServeRevocation installed a certificate.
-  kOther = 6,             // Unknown program on the secure channel.
 };
 const char* AuditKindName(AuditKind kind);
 

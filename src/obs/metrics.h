@@ -4,7 +4,7 @@
 // The paper's evaluation (§4, Figures 5-9) is built on per-RPC
 // breakdowns — which procedures a workload issues and what each costs in
 // network, crypto, and disk time.  This registry is where every layer
-// (sim::Link, rpc::Client/Dispatcher, sfs::MountPoint/ServerConnection,
+// (sim::Link, rpc::Client/Dispatcher, sfs::ServerAuditor,
 // nfs::NfsProgram) publishes those numbers, replacing the ad-hoc
 // counters that used to be hand-summed in bench/testbed.h.
 //

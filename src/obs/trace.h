@@ -1,7 +1,7 @@
 // Structured RPC tracing: the paper stresses debuggability ("Our RPC
 // library can pretty-print RPC traffic for debugging purposes").  The
-// RPC layers (rpc::Client, rpc::Dispatcher, sfs::MountPoint,
-// sfs::ServerConnection) emit one TraceEvent per wire-visible step —
+// RPC layers (rpc::Client and rpc::Dispatcher, for plain NFS3 and the
+// SFS secure channel alike) emit one TraceEvent per wire-visible step —
 // call sent, retransmission, stale reply discarded, reply delivered,
 // server dispatch, duplicate-request-cache replay — into whatever sinks
 // are registered on the owning registry's Tracer.

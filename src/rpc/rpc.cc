@@ -14,6 +14,7 @@
 namespace rpc {
 namespace {
 
+constexpr size_t kWordSize = 4;
 constexpr uint32_t kReplyAccepted = 0;
 constexpr uint32_t kReplyError = 1;
 
@@ -50,8 +51,26 @@ util::Result<uint32_t> ParseReply(util::Bytes body, util::Result<util::Bytes>* o
 
 }  // namespace
 
-Dispatcher::Dispatcher(obs::Registry* registry, const sim::Clock* clock)
-    : registry_(registry != nullptr ? registry : obs::Registry::Default()),
+util::Result<uint32_t> PlainServerCodec::Seqno(const util::Bytes& request) {
+  return xdr::PeekUint32(request, kWordSize);
+}
+
+util::Result<util::Bytes> PlainServerCodec::Open(const util::Bytes& request) {
+  // The call body is the request minus the seqno word LinkTransport::Frame
+  // spliced in after the xid.
+  if (request.size() < 2 * kWordSize) {
+    return util::InvalidArgument("RPC: malformed call message");
+  }
+  util::Bytes body(request.size() - kWordSize);
+  std::memcpy(body.data(), request.data(), kWordSize);
+  std::memcpy(body.data() + kWordSize, request.data() + 2 * kWordSize,
+              request.size() - 2 * kWordSize);
+  return body;
+}
+
+Dispatcher::Dispatcher(obs::Registry* registry, const sim::Clock* clock, ServerCodec* codec)
+    : codec_(codec != nullptr ? codec : &plain_codec_),
+      registry_(registry != nullptr ? registry : obs::Registry::Default()),
       clock_(clock),
       tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
@@ -69,26 +88,65 @@ void Dispatcher::RegisterProgram(uint32_t prog, ProgramHandler handler, ProcName
   program.metrics.Init(registry_, "server." + program.name);
 }
 
-std::string Dispatcher::ProcNameFor(const Program* program, uint32_t proc) const {
-  if (program != nullptr && program->namer) {
-    return program->namer(proc);
+util::Bytes Dispatcher::Replay(uint32_t seqno, const DrcEntry& entry) {
+  m_drc_hits_->Increment();
+  const uint64_t now_ns = clock_ != nullptr ? clock_->now_ns() : 0;
+  if (tracer_->active()) {
+    obs::TraceEvent event;
+    event.kind = obs::TraceEvent::Kind::kServerDrcHit;
+    event.layer = codec_->layer();
+    event.seqno = seqno;
+    event.wire_bytes = entry.reply.size();
+    event.t_send_ns = now_ns;
+    event.t_recv_ns = now_ns;
+    event.drc_hit = true;
+    event.note = "replayed cached reply";
+    tracer_->Emit(event);
   }
-  return std::to_string(proc);
+  if (spans_->enabled()) {
+    // Zero-duration marker in the original call's trace: the copy is never
+    // decoded (the sealed channel's keystream must not advance).
+    obs::Span span;
+    span.name = codec_->drc_hit_span();
+    span.layer = "server";
+    span.start_ns = now_ns;
+    span.end_ns = now_ns;
+    span.seqno = seqno;
+    span.wire_bytes = entry.reply.size();
+    span.drc_hit = true;
+    spans_->RecordClosed(std::move(span), entry.ctx.valid() ? entry.ctx : spans_->current());
+  }
+  return entry.reply;
 }
 
 util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
-  xdr::Decoder dec(request);
+  // Duplicate-request cache, consulted on the wire seqno before the codec
+  // decodes anything: a retransmitted call must not re-execute a
+  // non-idempotent handler, nor advance the sealed channel's keystreams.
+  ASSIGN_OR_RETURN(const uint32_t seqno, codec_->Seqno(request));
+  if (auto cached = drc_.find(seqno); cached != drc_.end()) {
+    return Replay(seqno, cached->second);
+  }
+  if (drc_max_seqno_ != 0 && seqno + kDrcWindow <= drc_max_seqno_) {
+    // Older than anything the cache retains; the reply is long gone and
+    // re-executing would break at-most-once.
+    return util::InvalidArgument("RPC: request seqno below duplicate-cache window");
+  }
+  ASSIGN_OR_RETURN(util::Bytes body, codec_->Open(request));
+  if (body.empty()) {
+    return body;  // Deferred by the codec: neither executed nor cached.
+  }
+
+  xdr::Decoder dec(std::move(body));
   auto xid = dec.GetUint32();
-  auto seqno = dec.GetUint32();
   auto prog = dec.GetUint32();
   auto proc = dec.GetUint32();
   auto args = dec.GetOpaque();
-  if (!xid.ok() || !seqno.ok() || !prog.ok() || !proc.ok() || !args.ok()) {
+  if (!xid.ok() || !prog.ok() || !proc.ok() || !args.ok()) {
     return util::InvalidArgument("RPC: malformed call message");
   }
   // Optional trailing trace context, present only while the caller's span
-  // collector is enabled (docs/OBSERVABILITY.md §"Spans").  Retransmits
-  // resend identical bytes, so a duplicate carries its original context.
+  // collector is enabled (docs/OBSERVABILITY.md §"Spans").
   obs::SpanContext wire_ctx;
   if (!dec.AtEnd()) {
     auto trace_id = dec.GetUint64();
@@ -104,76 +162,34 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
 
   auto it = programs_.find(prog.value());
   Program* program = it == programs_.end() ? nullptr : &it->second;
+  // Starts after Open, so the sealed channel's crypto stays out of the
+  // handler latency.
   const uint64_t now_ns = clock_ != nullptr ? clock_->now_ns() : 0;
-
-  // Duplicate-request cache: a retransmitted call must not re-execute a
-  // non-idempotent handler.  Replay the reply recorded the first time.
-  if (auto cached = drc_.find(seqno.value()); cached != drc_.end()) {
-    m_drc_hits_->Increment();
-    if (tracer_->active()) {
-      obs::TraceEvent event;
-      event.kind = obs::TraceEvent::Kind::kServerDrcHit;
-      event.layer = "rpc";
-      event.prog = prog.value();
-      event.proc = proc.value();
-      event.proc_name = ProcNameFor(program, proc.value());
-      event.xid = xid.value();
-      event.seqno = seqno.value();
-      event.wire_bytes = cached->second.size();
-      event.t_send_ns = now_ns;
-      event.t_recv_ns = now_ns;
-      event.drc_hit = true;
-      event.note = "replayed cached reply";
-      tracer_->Emit(event);
-    }
-    if (spans_->enabled()) {
-      // Zero-duration marker: the retransmitted copy was answered from
-      // the cache, parented into the original call's trace by the wire
-      // context the duplicate still carries.
-      obs::Span span;
-      span.name = "rpc.drc_hit";
-      span.layer = "server";
-      span.start_ns = now_ns;
-      span.end_ns = now_ns;
-      span.xid = xid.value();
-      span.seqno = seqno.value();
-      span.wire_bytes = cached->second.size();
-      span.drc_hit = true;
-      spans_->RecordClosed(std::move(span),
-                           wire_ctx.valid() ? wire_ctx : spans_->current());
-    }
-    return cached->second;
-  }
-  if (seqno.value() + kDrcWindow <= drc_max_seqno_ && drc_max_seqno_ != 0) {
-    // Older than anything the cache retains; the reply is long gone and
-    // re-executing would break at-most-once.
-    return util::InvalidArgument("RPC: request seqno below duplicate-cache window");
-  }
 
   xdr::Encoder reply;
   reply.PutUint32(xid.value());
-
-  util::Bytes reply_bytes;
+  util::Bytes wire;
   if (program == nullptr) {
     reply.PutUint32(kReplyError);
     reply.PutUint32(static_cast<uint32_t>(util::ErrorCode::kNotFound));
     reply.PutString("no such program");
-    reply_bytes = reply.Take();
+    wire = codec_->Seal(seqno, reply.Take());
   } else {
-    std::string proc_name = ProcNameFor(program, proc.value());
+    std::string proc_name =
+        program->namer ? program->namer(proc.value()) : std::to_string(proc.value());
     if (util::GetLogLevel() <= util::LogLevel::kDebug) {
       SFS_LOG(kDebug) << "rpc call prog=" << prog.value() << " proc=" << proc_name
                       << " args=" << args.value().size() << "B";
     }
+    obs::TraceEvent event;
     if (tracer_->active()) {
-      obs::TraceEvent event;
       event.kind = obs::TraceEvent::Kind::kServerDispatch;
-      event.layer = "rpc";
+      event.layer = codec_->layer();
       event.prog = prog.value();
       event.proc = proc.value();
       event.proc_name = proc_name;
       event.xid = xid.value();
-      event.seqno = seqno.value();
+      event.seqno = seqno;
       event.wire_bytes = request.size();
       event.t_send_ns = now_ns;
       tracer_->Emit(event);
@@ -189,10 +205,11 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
     // nest under it.
     uint64_t dispatch_span = 0;
     if (spans_->enabled()) {
-      dispatch_span = spans_->Begin("rpc.dispatch." + proc_name, "server", wire_ctx);
+      dispatch_span = spans_->Begin(codec_->dispatch_span_prefix() + proc_name, "server",
+                                    wire_ctx);
       if (obs::Span* s = spans_->Find(dispatch_span)) {
         s->xid = xid.value();
-        s->seqno = seqno.value();
+        s->seqno = seqno;
         s->wire_bytes = request.size();
       }
       spans_->Push(dispatch_span);
@@ -205,9 +222,10 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
       spans_->Pop(dispatch_span);
       spans_->End(dispatch_span);
     }
+    const uint64_t done_ns = clock_ != nullptr ? clock_->now_ns() : 0;
     if (clock_ != nullptr) {
       // Handler execution time (server CPU + disk, by the cost model).
-      pm->latency->Record(clock_->now_ns() - now_ns);
+      pm->latency->Record(done_ns - now_ns);
     }
     if (!result.ok()) {
       pm->errors->Increment();
@@ -218,21 +236,13 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
       reply.PutUint32(kReplyAccepted);
       reply.PutOpaque(result.value());
     }
-    reply_bytes = reply.Take();
-    pm->bytes_sent->Increment(reply_bytes.size());
+    wire = codec_->Seal(seqno, reply.Take());
+    pm->bytes_sent->Increment(wire.size());
 
     if (tracer_->active()) {
-      obs::TraceEvent event;
       event.kind = obs::TraceEvent::Kind::kServerReply;
-      event.layer = "rpc";
-      event.prog = prog.value();
-      event.proc = proc.value();
-      event.proc_name = proc_name;
-      event.xid = xid.value();
-      event.seqno = seqno.value();
-      event.wire_bytes = reply_bytes.size();
-      event.t_send_ns = now_ns;
-      event.t_recv_ns = clock_ != nullptr ? clock_->now_ns() : 0;
+      event.wire_bytes = wire.size();
+      event.t_recv_ns = done_ns;
       if (!result.ok()) {
         event.note = result.status().message();
       }
@@ -242,19 +252,16 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
 
   // Cache every reply — including handler errors, which a duplicate must
   // see verbatim rather than triggering a second execution attempt.
-  drc_[seqno.value()] = reply_bytes;
-  if (seqno.value() > drc_max_seqno_) {
-    drc_max_seqno_ = seqno.value();
-  }
+  drc_[seqno] = DrcEntry{wire, wire_ctx};
+  drc_max_seqno_ = std::max(drc_max_seqno_, seqno);
   while (!drc_.empty() && drc_.begin()->first + kDrcWindow <= drc_max_seqno_) {
     drc_.erase(drc_.begin());
   }
-  return reply_bytes;
+  return wire;
 }
 
 util::Bytes LinkTransport::Frame(uint32_t seqno, const util::Bytes& body) {
   // The plain header carries the seqno right after the body's xid.
-  constexpr size_t kWordSize = 4;
   util::Bytes wire(body.size() + kWordSize);
   std::memcpy(wire.data(), body.data(), kWordSize);
   for (size_t k = 0; k < kWordSize; ++k) {

@@ -2,11 +2,12 @@
 //
 // Mirrors the paper's implementation structure (§3.2): programs
 // communicate via RPC with XDR-described messages, and the library can
-// pretty-print traffic for debugging.  A Dispatcher is the server side of
-// one connection; a Client is the one client-side call engine, for plain
+// pretty-print traffic for debugging.  A Dispatcher is the one server-side
+// dispatch path and a Client the one client-side call engine, for plain
 // NFS3 and for the SFS secure channel alike.
 //
-// The engine speaks in bodies; a Transport turns them into wire bytes.
+// Both speak in bodies; a wire format turns them into bytes — a Transport
+// on the client, a ServerCodec on the server.
 //   call body:  uint32 xid, uint32 prog, uint32 proc, opaque args
 //               [, uint64 trace_id, uint64 parent_span_id]  — optional
 //               trace context, appended only while span tracing is
@@ -14,17 +15,19 @@
 //               client's call span; see docs/OBSERVABILITY.md §"Spans")
 //   reply body: uint32 xid, uint32 status (0 = accepted), on error:
 //               uint32 code + string message, else opaque results
-// LinkTransport sends a call as its body with the wire seqno spliced in
-// after the xid (xid, seqno, prog, proc, ...) and a reply as its body;
-// sfs::ChannelTransport seals the body and frames it behind a cleartext
+// The plain format (LinkTransport, PlainServerCodec) sends a call as its
+// body with the wire seqno spliced in after the xid (xid, seqno, prog,
+// proc, ...) and a reply as its body; sfs::ChannelTransport and
+// sfs::ChannelServerCodec seal the body and frame it behind a cleartext
 // seqno (docs/PROTOCOL.md §10).
 //
-// At-most-once semantics: calls may be resent, so the server keeps a
+// At-most-once semantics: calls may be resent, so the Dispatcher keeps a
 // duplicate-request cache (DRC) keyed by the call's wire seqno — a
-// redelivered request replays the cached reply instead of re-executing a
-// possibly non-idempotent handler.  The Client matches replies to
-// outstanding calls by xid; a reply matching no outstanding call (a late
-// duplicate from network reordering) is counted and discarded.
+// redelivered request replays the cached wire reply instead of
+// re-executing a possibly non-idempotent handler.  The Client matches
+// replies to outstanding calls by xid; a reply matching no outstanding
+// call (a late duplicate from network reordering) is counted and
+// discarded.
 //
 // Window 1 (the default) is stop-and-wait over Link::Roundtrip, which
 // masks transit loss itself: a call waits for its reply however long the
@@ -44,6 +47,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/span.h"
 #include "src/sim/network.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
@@ -67,22 +71,67 @@ using ProgramHandler =
 // Optional proc-name resolver, used by the traffic pretty-printer.
 using ProcNamer = std::function<std::string(uint32_t proc)>;
 
+// The server half of a wire format, the mirror image of Transport.  The
+// Dispatcher asks it for a request's wire seqno (the DRC key, read before
+// anything is decoded), for a fresh request's call body, and for the wire
+// bytes of its reply.  It also names the server's spans and trace layer.
+class ServerCodec {
+ public:
+  // `dispatch_span_prefix` ("rpc.dispatch."), `drc_hit_span`
+  // ("rpc.drc_hit") and `layer` ("rpc") must outlive the codec; string
+  // literals do.
+  ServerCodec(const char* dispatch_span_prefix, const char* drc_hit_span, const char* layer)
+      : dispatch_span_prefix_(dispatch_span_prefix), drc_hit_span_(drc_hit_span), layer_(layer) {}
+  virtual ~ServerCodec() = default;
+  ServerCodec(const ServerCodec&) = delete;
+  ServerCodec& operator=(const ServerCodec&) = delete;
+
+  // Reads the request's cleartext wire seqno and nothing else.
+  virtual util::Result<uint32_t> Seqno(const util::Bytes& request) = 0;
+  // Decodes a request the DRC did not answer.  An empty body defers it:
+  // the Dispatcher answers with an empty message, executes nothing and
+  // caches nothing.
+  virtual util::Result<util::Bytes> Open(const util::Bytes& request) = 0;
+  // Encodes the reply to the fresh request `seqno`; runs once per fresh
+  // request, and the DRC replays the result to retransmitted copies.
+  virtual util::Bytes Seal(uint32_t seqno, util::Bytes reply) = 0;
+
+  const char* dispatch_span_prefix() const { return dispatch_span_prefix_; }
+  const char* drc_hit_span() const { return drc_hit_span_; }
+  const char* layer() const { return layer_; }
+
+ private:
+  const char* dispatch_span_prefix_;
+  const char* drc_hit_span_;
+  const char* layer_;
+};
+
+// The plain Sun-RPC wire format, LinkTransport's peer.
+class PlainServerCodec : public ServerCodec {
+ public:
+  PlainServerCodec() : ServerCodec("rpc.dispatch.", "rpc.drc_hit", "rpc") {}
+  util::Result<uint32_t> Seqno(const util::Bytes& request) override;
+  util::Result<util::Bytes> Open(const util::Bytes& request) override;
+  util::Bytes Seal(uint32_t, util::Bytes reply) override { return reply; }
+};
+
 class Dispatcher : public sim::Service {
  public:
   // `registry` receives the server.* counters, per-procedure ops metrics
   // and trace events; nullptr selects obs::Registry::Default().  `clock`
   // (optional) timestamps trace events and feeds per-procedure handler
-  // latency histograms.
-  explicit Dispatcher(obs::Registry* registry = nullptr,
-                      const sim::Clock* clock = nullptr);
+  // latency histograms.  `codec` (which must outlive the dispatcher)
+  // selects the wire format; nullptr serves the plain one.
+  explicit Dispatcher(obs::Registry* registry = nullptr, const sim::Clock* clock = nullptr,
+                      ServerCodec* codec = nullptr);
 
   // `name` labels this program's server-side metrics
   // ("server.<name>.<PROC>.*"); empty derives "PROG<prog>".
   void RegisterProgram(uint32_t prog, ProgramHandler handler, ProcNamer namer = nullptr,
                        std::string name = "");
 
-  // sim::Service: decode the call header, dispatch, encode the reply.
-  // Requests answered from the duplicate-request cache count in the
+  // sim::Service: answer from the duplicate-request cache, or open the
+  // call, dispatch it and seal the reply.  Cache answers count in the
   // registry's server.drc_hits.
   util::Result<util::Bytes> Handle(const util::Bytes& request) override;
 
@@ -94,12 +143,21 @@ class Dispatcher : public sim::Service {
     obs::ProcMetricsTable metrics;
   };
 
-  std::string ProcNameFor(const Program* program, uint32_t proc) const;
+  // An executed request's wire reply, replayed verbatim to retransmitted
+  // copies, and its trace context, which parents their drc-hit spans.
+  struct DrcEntry {
+    util::Bytes reply;
+    obs::SpanContext ctx;
+  };
 
+  util::Bytes Replay(uint32_t seqno, const DrcEntry& entry);
+
+  PlainServerCodec plain_codec_;
+  ServerCodec* codec_;
   std::map<uint32_t, Program> programs_;
 
-  // Duplicate-request cache: wire seqno -> complete reply message.
-  std::map<uint32_t, util::Bytes> drc_;
+  // Duplicate-request cache, keyed by wire seqno.
+  std::map<uint32_t, DrcEntry> drc_;
   uint32_t drc_max_seqno_ = 0;
 
   obs::Registry* registry_;

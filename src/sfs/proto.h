@@ -98,13 +98,6 @@ inline constexpr uint32_t kAnonymousAuthno = 0;
 // reasonable window").
 inline constexpr uint32_t kSeqnoWindow = 64;
 
-// Replies the server connection retains for at-most-once execution of
-// retransmitted channel requests (keyed by the wire-level sequence number
-// that prefixes each kMsgEncrypted payload).  With a synchronous client
-// only the most recent entry is ever replayed, but a window keeps the
-// discipline robust to future pipelining.
-inline constexpr uint32_t kDrcWindow = 64;
-
 }  // namespace sfs
 
 #endif  // SFS_SRC_SFS_PROTO_H_

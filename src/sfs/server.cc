@@ -47,12 +47,8 @@ SfsServer::SfsServer(sim::Clock* clock, const sim::CostModel* costs, Options opt
       authserver_(authserver),
       registry_(options_.registry != nullptr ? options_.registry
                                              : obs::Registry::Default()),
-      tracer_(&registry_->tracer()),
-      spans_(&registry_->spans()),
       m_drc_hits_(registry_->GetCounter("server.drc_hits")) {
   nfs_program_.set_lease_ns(options_.lease_ns);
-  nfs_metrics_.Init(registry_, "server.NFS3");
-  ctl_metrics_.Init(registry_, "server.SFSCTL");
   if (options_.audit) {
     ServerAuditor::Options audit_options;
     audit_options.batch_records = options_.audit_batch_records;
@@ -151,6 +147,10 @@ util::Result<util::Bytes> ServerConnection::Handle(const util::Bytes& request) {
   if (state_ == State::kDead) {
     return util::Unavailable("connection closed");
   }
+  // Sealed RPCs go to the dispatcher whole: its codec reads the frame.
+  if (auto type = xdr::PeekUint32(request, 0); type.ok() && type.value() == kMsgEncrypted) {
+    return HandleEncrypted(request);
+  }
   xdr::Decoder dec(request);
   auto type = dec.GetUint32();
   auto payload = dec.GetOpaque();
@@ -174,18 +174,6 @@ util::Result<util::Bytes> ServerConnection::Handle(const util::Bytes& request) {
       // machine out of phase and kill the connection; replay the reply.
       if (!last_handshake_request_.empty() && request == last_handshake_request_) {
         server_->m_drc_hits_->Increment();
-        if (server_->tracer_->active()) {
-          obs::TraceEvent event;
-          event.kind = obs::TraceEvent::Kind::kServerDrcHit;
-          event.layer = "sfs.chan";
-          event.proc_name = "HANDSHAKE";
-          event.wire_bytes = last_handshake_reply_.size();
-          event.t_send_ns = server_->clock_->now_ns();
-          event.t_recv_ns = event.t_send_ns;
-          event.drc_hit = true;
-          event.note = "redelivered handshake answered with recorded reply";
-          server_->tracer_->Emit(event);
-        }
         return last_handshake_reply_;
       }
       auto reply = type.value() == kMsgConnect     ? HandleConnect(payload.value())
@@ -198,8 +186,6 @@ util::Result<util::Bytes> ServerConnection::Handle(const util::Bytes& request) {
       }
       return reply;
     }
-    case kMsgEncrypted:
-      return HandleEncrypted(payload.value());
     default:
       state_ = State::kDead;
       return util::InvalidArgument("unknown message type");
@@ -286,278 +272,67 @@ util::Result<util::Bytes> ServerConnection::HandleNegotiate(const util::Bytes& p
     return negotiation.status();
   }
 
-  cleartext_ = want_cleartext.value() && server_->options_.allow_cleartext;
-  if (!cleartext_) {
-    cipher_in_ = std::make_unique<ChannelCipher>(negotiation->keys.kcs);
-    cipher_out_ = std::make_unique<ChannelCipher>(negotiation->keys.ksc);
-  }
+  // The sealed channel's server half: kcs opens requests, ksc seals
+  // replies; no ciphers in the cleartext ablation.
+  const bool cleartext = want_cleartext.value() && server_->options_.allow_cleartext;
+  codec_ = std::make_unique<ChannelServerCodec>(
+      server_->clock_, server_->costs_, server_->registry_,
+      cleartext ? nullptr : std::make_unique<ChannelCipher>(negotiation->keys.ksc),
+      cleartext ? nullptr : std::make_unique<ChannelCipher>(negotiation->keys.kcs));
+  dispatcher_ =
+      std::make_unique<rpc::Dispatcher>(server_->registry_, server_->clock_, codec_.get());
+  dispatcher_->RegisterProgram(
+      nfs::kNfsProgram,
+      [this](uint32_t proc, const util::Bytes& args) {
+        return Journal(obs::AuditKind::kNfs, proc, args, HandleNfs(proc, args));
+      },
+      nfs::ProcName, "NFS3");
+  dispatcher_->RegisterProgram(
+      kSfsCtlProgram,
+      [this](uint32_t proc, const util::Bytes& args) {
+        return Journal(obs::AuditKind::kCtl, proc, args, HandleCtl(proc, args));
+      },
+      CtlProcName, "SFSCTL");
   session_id_ = negotiation->keys.SessionId();
   state_ = State::kEstablished;
 
   xdr::Encoder reply;
-  reply.PutBool(cleartext_);
+  reply.PutBool(cleartext);
   reply.PutOpaque(negotiation->enc_ks1);
   reply.PutOpaque(negotiation->enc_ks2);
   return FrameMessage(kMsgNegotiate, reply.Take());
 }
 
-util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& payload) {
-  if (state_ != State::kEstablished) {
+util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& request) {
+  if (dispatcher_ == nullptr) {
     state_ = State::kDead;
     return util::FailedPrecondition("encrypted message before negotiation");
   }
-  // User-level server daemon: two kernel crossings per request.
+  // User-level server daemon: two kernel crossings per request, DRC hits too.
   server_->costs_->ChargeCrossing(server_->clock_, 2);
-
-  // The wire seqno travels outside the sealed body: the duplicate check
-  // must run *before* the cipher, because opening a retransmitted copy
-  // would advance the receive keystream a second time.
-  xdr::Decoder frame(payload);
-  auto wire_seqno = frame.GetUint32();
-  auto sealed_body = frame.GetOpaque();
-  if (!wire_seqno.ok() || !sealed_body.ok() || !frame.AtEnd()) {
-    state_ = State::kDead;
-    return util::InvalidArgument("malformed channel frame");
-  }
-  if (auto cached = reply_cache_.find(wire_seqno.value()); cached != reply_cache_.end()) {
-    server_->m_drc_hits_->Increment();
-    if (server_->tracer_->active()) {
-      obs::TraceEvent event;
-      event.kind = obs::TraceEvent::Kind::kServerDrcHit;
-      event.layer = "sfs.chan";
-      event.seqno = wire_seqno.value();
-      event.wire_bytes = cached->second.size();
-      event.t_send_ns = server_->clock_->now_ns();
-      event.t_recv_ns = event.t_send_ns;
-      event.drc_hit = true;
-      event.note = "replayed sealed reply; keystreams untouched";
-      server_->tracer_->Emit(event);
-    }
-    if (server_->spans_->enabled()) {
-      // The sealed body cannot be opened again (the keystream must not
-      // advance), so the replay's trace context comes from the cache of
-      // the original dispatch.
-      obs::SpanContext parent = server_->spans_->current();
-      if (auto ctx = ctx_cache_.find(wire_seqno.value()); ctx != ctx_cache_.end()) {
-        parent = ctx->second;
-      }
-      obs::Span span;
-      span.name = "sfs.drc_hit";
-      span.layer = "server";
-      span.start_ns = server_->clock_->now_ns();
-      span.end_ns = span.start_ns;
-      span.seqno = wire_seqno.value();
-      span.wire_bytes = cached->second.size();
-      span.drc_hit = true;
-      server_->spans_->RecordClosed(std::move(span), parent);
-    }
-    return cached->second;
-  }
-  if (reply_cache_max_seqno_ != 0 &&
-      wire_seqno.value() + kDrcWindow <= reply_cache_max_seqno_) {
-    state_ = State::kDead;
-    return util::SecurityError("channel seqno below duplicate-cache window");
-  }
-
-  util::Bytes plaintext;
-  if (cleartext_) {
-    server_->costs_->ChargeCopy(server_->clock_, sealed_body->size());
-    plaintext = sealed_body.value();
-  } else {
-    const uint64_t open_start_ns = server_->clock_->now_ns();
-    server_->costs_->ChargeCrypto(server_->clock_, sealed_body->size());
-    RecordCryptoSpan(server_->spans_, "sfs.open", "server", open_start_ns,
-                     server_->clock_->now_ns(), sealed_body->size(),
-                     server_->spans_->current());
-    auto opened = cipher_in_->Open(sealed_body.value());
-    if (!opened.ok()) {
-      state_ = State::kDead;  // Tampered or forged: kill the session.
-      return opened.status();
-    }
-    plaintext = std::move(opened).value();
-  }
-
-  auto reply = DispatchRpc(plaintext, wire_seqno.value());
+  auto reply = dispatcher_->Handle(request);
   if (!reply.ok()) {
-    state_ = State::kDead;
-    return reply.status();
+    state_ = State::kDead;  // Malformed, tampered or forged: kill the session.
   }
-  // The reply frame echoes the request's wire seqno in cleartext, so a
-  // pipelined client can order sealed replies for in-order opening
-  // before touching the receive cipher (docs/PROTOCOL.md §10).  Fresh
-  // replies are sealed in request order — requests are handled serially
-  // — so the echoed seqnos are exactly the keystream order.
-  util::Bytes sealed_reply;
-  if (cleartext_) {
-    server_->costs_->ChargeCopy(server_->clock_, reply->size());
-    sealed_reply = reply.value();
-  } else {
-    const uint64_t seal_start_ns = server_->clock_->now_ns();
-    sealed_reply = cipher_out_->Seal(reply.value());
-    server_->costs_->ChargeCrypto(server_->clock_, sealed_reply.size());
-    RecordCryptoSpan(server_->spans_, "sfs.seal", "server", seal_start_ns,
-                     server_->clock_->now_ns(), sealed_reply.size(),
-                     server_->spans_->current());
-  }
-  xdr::Encoder reply_frame;
-  reply_frame.PutUint32(wire_seqno.value());
-  reply_frame.PutOpaque(sealed_reply);
-  util::Bytes framed_reply = FrameMessage(kMsgEncrypted, reply_frame.Take());
-
-  // Record the framed reply so a retransmit replays these exact bytes
-  // without touching either keystream.
-  reply_cache_[wire_seqno.value()] = framed_reply;
-  if (wire_seqno.value() > reply_cache_max_seqno_) {
-    reply_cache_max_seqno_ = wire_seqno.value();
-  }
-  while (!reply_cache_.empty() &&
-         reply_cache_.begin()->first + kDrcWindow <= reply_cache_max_seqno_) {
-    reply_cache_.erase(reply_cache_.begin());
-  }
-  while (!ctx_cache_.empty() &&
-         ctx_cache_.begin()->first + kDrcWindow <= reply_cache_max_seqno_) {
-    ctx_cache_.erase(ctx_cache_.begin());
-  }
-  return framed_reply;
+  return reply;
 }
 
-util::Result<util::Bytes> ServerConnection::DispatchRpc(const util::Bytes& rpc_message,
-                                                        uint32_t wire_seqno) {
-  // Minimal RPC framing: xid, prog, proc, args (see rpc/rpc.h).
-  xdr::Decoder dec(rpc_message);
-  auto xid = dec.GetUint32();
-  auto prog = dec.GetUint32();
-  auto proc = dec.GetUint32();
-  auto args = dec.GetOpaque();
-  if (!xid.ok() || !prog.ok() || !proc.ok() || !args.ok()) {
-    return util::InvalidArgument("malformed RPC in channel");
-  }
-  // Optional trailing trace context (rides inside the sealed body; see
-  // docs/OBSERVABILITY.md §"Spans").
-  obs::SpanContext wire_ctx;
-  if (!dec.AtEnd()) {
-    auto trace_id = dec.GetUint64();
-    auto parent_span = dec.GetUint64();
-    if (!trace_id.ok() || !parent_span.ok()) {
-      return util::InvalidArgument("malformed RPC in channel");
-    }
-    wire_ctx = obs::SpanContext{trace_id.value(), parent_span.value()};
-  }
-  if (!dec.AtEnd()) {
-    return util::InvalidArgument("malformed RPC in channel");
-  }
-  if (wire_ctx.valid()) {
-    ctx_cache_[wire_seqno] = wire_ctx;
-  }
-
-  const bool is_nfs = prog.value() == nfs::kNfsProgram;
-  const bool is_ctl = prog.value() == kSfsCtlProgram;
-  const std::string proc_name = is_nfs   ? nfs::ProcName(proc.value())
-                                : is_ctl ? CtlProcName(proc.value())
-                                         : std::to_string(proc.value());
-  const uint64_t t_dispatch_ns = server_->clock_->now_ns();
-
-  auto emit = [&](obs::TraceEvent::Kind kind, uint64_t wire_bytes,
-                  const std::string& note) {
-    if (!server_->tracer_->active()) {
-      return;
-    }
-    obs::TraceEvent event;
-    event.kind = kind;
-    event.layer = "sfs.chan";
-    event.prog = prog.value();
-    event.proc = proc.value();
-    event.proc_name = proc_name;
-    event.xid = xid.value();
-    event.seqno = wire_seqno;
-    event.wire_bytes = wire_bytes;
-    event.t_send_ns = t_dispatch_ns;
-    event.t_recv_ns = server_->clock_->now_ns();
-    event.note = note;
-    server_->tracer_->Emit(event);
-  };
-  emit(obs::TraceEvent::Kind::kServerDispatch, rpc_message.size(), "");
-
-  obs::ProcMetrics* pm = is_nfs   ? server_->nfs_metrics_.Get(proc.value(), proc_name)
-                         : is_ctl ? server_->ctl_metrics_.Get(proc.value(), proc_name)
-                                  : nullptr;
-  if (pm != nullptr) {
-    pm->calls->Increment();
-    pm->bytes_received->Increment(rpc_message.size());
-  }
-
-  uint64_t dispatch_span = 0;
-  if (server_->spans_->enabled()) {
-    dispatch_span = server_->spans_->Begin("sfs.dispatch." + proc_name, "server", wire_ctx);
-    if (obs::Span* s = server_->spans_->Find(dispatch_span)) {
-      s->xid = xid.value();
-      s->seqno = wire_seqno;
-      s->wire_bytes = rpc_message.size();
-    }
-    server_->spans_->Push(dispatch_span);
-  }
-
-  util::Result<util::Bytes> result = util::InvalidArgument("no such program");
-  if (is_nfs) {
-    result = HandleNfs(proc.value(), args.value());
-  } else if (is_ctl) {
-    result = HandleCtl(proc.value(), args.value());
-  }
-
-  // Journal the executed operation (retransmits answered from the DRC
-  // never reach this point, so the journal is exactly-once).  Recorded
-  // while the dispatch span is still ambient: the record carries its
-  // trace/span ids.
+util::Result<util::Bytes> ServerConnection::Journal(obs::AuditKind kind, uint32_t proc,
+                                                    const util::Bytes& args,
+                                                    util::Result<util::Bytes> result) {
   if (server_->auditor_ != nullptr) {
+    const bool is_nfs = kind == obs::AuditKind::kNfs;
     uint32_t verdict = result.ok() ? 0 : static_cast<uint32_t>(result.status().code());
     // Stable-storage flag: COMMITs and FILE_SYNC WRITEs are durable
     // commitments; UNSTABLE write-behind traffic stays unflagged.
-    if (is_nfs && (proc.value() == nfs::kProcCommit ||
-                   (proc.value() == nfs::kProcWrite &&
-                    AuditNfsWriteIsStable(args.value())))) {
+    if (is_nfs && (proc == nfs::kProcCommit ||
+                   (proc == nfs::kProcWrite && AuditNfsWriteIsStable(args)))) {
       verdict |= kAuditVerdictStableBit;
     }
-    server_->auditor_->Record(
-        is_nfs   ? obs::AuditKind::kNfs
-        : is_ctl ? obs::AuditKind::kCtl
-                 : obs::AuditKind::kOther,
-        id_, wire_seqno, proc.value(), verdict,
-        is_nfs ? AuditFhDigestOfNfsArgs(args.value()) : 0);
+    server_->auditor_->Record(kind, id_, codec_->opened_seqno(), proc, verdict,
+                              is_nfs ? AuditFhDigestOfNfsArgs(args) : 0);
   }
-
-  if (dispatch_span != 0) {
-    if (obs::Span* s = server_->spans_->Find(dispatch_span)) {
-      s->error = !result.ok();
-    }
-    server_->spans_->Pop(dispatch_span);
-    server_->spans_->End(dispatch_span);
-  }
-
-  if (pm != nullptr) {
-    // Handler execution time (server CPU + disk, by the cost model).
-    pm->latency->Record(server_->clock_->now_ns() - t_dispatch_ns);
-    if (!result.ok()) {
-      pm->errors->Increment();
-    }
-  }
-
-  xdr::Encoder reply;
-  reply.PutUint32(xid.value());
-  if (result.ok()) {
-    reply.PutUint32(0);
-    reply.PutOpaque(result.value());
-  } else {
-    reply.PutUint32(1);
-    reply.PutUint32(static_cast<uint32_t>(result.status().code()));
-    reply.PutString(result.status().message());
-  }
-  util::Bytes reply_bytes = reply.Take();
-  if (pm != nullptr) {
-    pm->bytes_sent->Increment(reply_bytes.size());
-  }
-  emit(obs::TraceEvent::Kind::kServerReply, reply_bytes.size(),
-       result.ok() ? "" : result.status().message());
-  return reply_bytes;
+  return result;
 }
 
 util::Result<util::Bytes> ServerConnection::HandleNfs(uint32_t proc,

@@ -5,8 +5,9 @@
 //   Connect    — client names a (Location, HostID); the server answers
 //                with its public key, or a revocation certificate.
 //   Negotiate  — Figure 3 key exchange; establishes the session ciphers.
-//   Encrypted  — sealed RPCs: the NFS3 dialect (handles encrypted, every
-//                attribute carrying a lease) and the control program
+//   Encrypted  — sealed RPCs through the connection's rpc::Dispatcher and
+//                ChannelServerCodec: the NFS3 dialect (handles encrypted,
+//                every attribute carrying a lease) and the control program
 //                (root handle, user login).
 // Authserver-service connections instead speak the SRP password protocol
 // on behalf of sfskey (§2.4).
@@ -20,7 +21,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,7 +31,8 @@
 #include "src/crypto/rabin.h"
 #include "src/nfs/memfs.h"
 #include "src/nfs/program.h"
-#include "src/obs/span.h"
+#include "src/obs/auditlog.h"
+#include "src/rpc/rpc.h"
 #include "src/sfs/audit.h"
 #include "src/sfs/handle_crypt.h"
 #include "src/sfs/pathname.h"
@@ -149,15 +150,11 @@ class SfsServer {
   uint64_t next_connection_id_ = 1;
   std::unique_ptr<ServerAuditor> auditor_;
 
-  // Observability: shared across connections so the per-procedure server
-  // metrics aggregate the whole server (prefixes match the plain-RPC
-  // Dispatcher's, so NFS3 and SFS stacks report under the same names).
+  // Observability.  Each connection's Dispatcher registers its programs
+  // as "NFS3" and "SFSCTL" in this registry, so the per-procedure server
+  // metrics aggregate the whole server under the plain-RPC names.
   obs::Registry* registry_;
-  obs::Tracer* tracer_;
-  obs::SpanCollector* spans_;
-  obs::Counter* m_drc_hits_;
-  obs::ProcMetricsTable nfs_metrics_;  // "server.NFS3"
-  obs::ProcMetricsTable ctl_metrics_;  // "server.SFSCTL"
+  obs::Counter* m_drc_hits_;  // Handshake replays; the Dispatchers count RPCs.
 };
 
 // One accepted connection (one client <-> server TCP stream).
@@ -175,16 +172,17 @@ class ServerConnection : public sim::Service {
 
   util::Result<util::Bytes> HandleConnect(const util::Bytes& payload);
   util::Result<util::Bytes> HandleNegotiate(const util::Bytes& payload);
-  util::Result<util::Bytes> HandleEncrypted(const util::Bytes& payload);
+  util::Result<util::Bytes> HandleEncrypted(const util::Bytes& request);
   util::Result<util::Bytes> HandleSrpStart(const util::Bytes& payload);
   util::Result<util::Bytes> HandleSrpFinish(const util::Bytes& payload);
 
-  // Dispatches one plaintext RPC (NFS or control program).  `wire_seqno`
-  // identifies the channel frame in trace events.
-  util::Result<util::Bytes> DispatchRpc(const util::Bytes& rpc_message,
-                                        uint32_t wire_seqno);
+  // The two programs on the channel, as registered with the Dispatcher.
   util::Result<util::Bytes> HandleNfs(uint32_t proc, const util::Bytes& args);
   util::Result<util::Bytes> HandleCtl(uint32_t proc, const util::Bytes& args);
+  // Journals one executed request inside its dispatch span and passes
+  // the result through; DRC replays never get here (exactly-once).
+  util::Result<util::Bytes> Journal(obs::AuditKind kind, uint32_t proc,
+                                    const util::Bytes& args, util::Result<util::Bytes> result);
 
   util::Status CheckSeqno(uint32_t seqno);
 
@@ -193,29 +191,17 @@ class ServerConnection : public sim::Service {
   State state_ = State::kAwaitConnect;
   const SfsServer::Identity* identity_ = nullptr;
   readonly::ReplicaServer* ro_delegate_ = nullptr;  // Read-only dialect hand-off.
-  bool cleartext_ = false;
 
-  std::unique_ptr<ChannelCipher> cipher_in_;   // Opens client->server traffic.
-  std::unique_ptr<ChannelCipher> cipher_out_;  // Seals server->client traffic.
+  // The established channel: its wire format and the dispatch path behind
+  // it (declared in that order, so the codec outlives the dispatcher).
+  std::unique_ptr<ChannelServerCodec> codec_;
+  std::unique_ptr<rpc::Dispatcher> dispatcher_;
   util::Bytes session_id_;
 
   std::map<uint32_t, nfs::Credentials> authno_to_creds_;
   uint32_t next_authno_ = 1;
   std::set<uint32_t> seqnos_seen_;
   uint32_t max_seqno_ = 0;
-
-  // Duplicate-request cache for the secure channel: wire seqno -> the
-  // complete framed (sealed) reply.  Replaying the cached bytes keeps
-  // both keystreams untouched, so a retransmitted request advances
-  // neither cipher (see docs/PROTOCOL.md).
-  std::map<uint32_t, util::Bytes> reply_cache_;
-  uint32_t reply_cache_max_seqno_ = 0;
-  // Trace context of the request that produced each cached reply: a DRC
-  // hit records its span into the *original* call's trace (the
-  // retransmitted frame carries the same sealed bytes, so the context is
-  // unreadable at hit time — the cipher must not run twice).  Pruned in
-  // lockstep with reply_cache_.
-  std::map<uint32_t, obs::SpanContext> ctx_cache_;
 
   // Handshake messages have no seqno; a redelivered copy is recognized by
   // byte identity and answered with the recorded reply instead of hitting

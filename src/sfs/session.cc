@@ -14,6 +14,79 @@ constexpr size_t kMacKeySize = 32;
 constexpr size_t kMacSize = crypto::kSha1DigestSize;
 constexpr size_t kLengthSize = 4;  // XDR uint32, big-endian.
 
+// The channel frame is {kMsgEncrypted, {seqno, sealed}}: the cleartext
+// seqno (docs/PROTOCOL.md §10) follows the type and the payload length.
+constexpr size_t kFrameSeqnoOffset = 8;
+
+// Records one already-elapsed all-kCrypto interval (a seal or an open)
+// under `parent`; one outside any call is not recorded.
+void RecordCryptoSpan(obs::SpanCollector* spans, const char* name, const char* layer,
+                      uint64_t start_ns, uint64_t end_ns, uint64_t bytes,
+                      obs::SpanContext parent) {
+  if (!spans->enabled() || !parent.valid() || end_ns == start_ns) {
+    return;
+  }
+  obs::Span span;
+  span.name = name;
+  span.layer = layer;
+  span.start_ns = start_ns;
+  span.end_ns = end_ns;
+  span.cat_ns[static_cast<size_t>(obs::TimeCategory::kCrypto)] = end_ns - start_ns;
+  span.wire_bytes = bytes;
+  spans->RecordClosed(std::move(span), parent);
+}
+
+// Seals `body` into its channel frame, charging the crypto, and records
+// an sfs.seal span in `layer` under the ambient span.  A null cipher is
+// the cleartext ablation: the body is charged as a copy and framed as is.
+util::Bytes SealFrame(ChannelCipher* cipher, sim::Clock* clock, const sim::CostModel* costs,
+                      obs::SpanCollector* spans, const char* layer, uint32_t seqno,
+                      const util::Bytes& body) {
+  xdr::Encoder frame;
+  frame.PutUint32(seqno);
+  if (cipher == nullptr) {
+    costs->ChargeCopy(clock, body.size());
+    frame.PutOpaque(body);
+  } else {
+    const uint64_t start_ns = clock->now_ns();
+    util::Bytes sealed = cipher->Seal(body);
+    costs->ChargeCrypto(clock, sealed.size());
+    RecordCryptoSpan(spans, "sfs.seal", layer, start_ns, clock->now_ns(), sealed.size(),
+                     spans->current());
+    frame.PutOpaque(sealed);
+  }
+  return FrameMessage(kMsgEncrypted, frame.Take());
+}
+
+// Returns the frame's seqno and moves its sealed body into `sealed`.
+util::Result<uint32_t> UnframeSealed(const util::Bytes& message, util::Bytes* sealed) {
+  ASSIGN_OR_RETURN(util::Bytes payload, Unframe(kMsgEncrypted, message));
+  xdr::Decoder frame(std::move(payload));
+  auto seqno = frame.GetUint32();
+  auto body = frame.GetOpaque();
+  if (!seqno.ok() || !body.ok() || !frame.AtEnd()) {
+    return util::SecurityError("malformed channel frame");
+  }
+  *sealed = std::move(body).value();
+  return seqno.value();
+}
+
+// Opens one sealed body, charging the crypto first, and records an
+// sfs.open span in `layer` under `parent`.  A null cipher charges a copy.
+util::Result<util::Bytes> OpenBody(ChannelCipher* cipher, sim::Clock* clock,
+                                   const sim::CostModel* costs, obs::SpanCollector* spans,
+                                   const char* layer, obs::SpanContext parent,
+                                   util::Bytes sealed) {
+  if (cipher == nullptr) {
+    costs->ChargeCopy(clock, sealed.size());
+    return sealed;
+  }
+  const uint64_t start_ns = clock->now_ns();
+  costs->ChargeCrypto(clock, sealed.size());
+  RecordCryptoSpan(spans, "sfs.open", layer, start_ns, clock->now_ns(), sealed.size(), parent);
+  return cipher->Open(sealed);
+}
+
 }  // namespace
 
 ChannelCipher::ChannelCipher(const util::Bytes& session_key) : stream_(session_key) {}
@@ -83,22 +156,6 @@ util::Result<util::Bytes> ChannelCipher::Open(const util::Bytes& sealed) {
   return buf;
 }
 
-void RecordCryptoSpan(obs::SpanCollector* spans, const char* name, const char* layer,
-                      uint64_t start_ns, uint64_t end_ns, uint64_t bytes,
-                      obs::SpanContext parent) {
-  if (spans == nullptr || !spans->enabled() || end_ns == start_ns) {
-    return;
-  }
-  obs::Span span;
-  span.name = name;
-  span.layer = layer;
-  span.start_ns = start_ns;
-  span.end_ns = end_ns;
-  span.cat_ns[static_cast<size_t>(obs::TimeCategory::kCrypto)] = end_ns - start_ns;
-  span.wire_bytes = bytes;
-  spans->RecordClosed(std::move(span), parent);
-}
-
 ChannelTransport::ChannelTransport(sim::Link* link, const sim::CostModel* costs,
                                    obs::Registry* registry,
                                    std::unique_ptr<ChannelCipher> seal,
@@ -113,40 +170,21 @@ util::Bytes ChannelTransport::Frame(uint32_t seqno, const util::Bytes& body) {
   // User-level client daemon: two kernel crossings, then seal.
   sim::Clock* clock = link()->clock();
   costs_->ChargeCrossing(clock, 2);
-  util::Bytes sealed;
-  if (seal_ == nullptr) {
-    costs_->ChargeCopy(clock, body.size());
-    sealed = body;
-  } else {
-    const uint64_t start_ns = clock->now_ns();
-    sealed = seal_->Seal(body);
-    costs_->ChargeCrypto(clock, sealed.size());
-    RecordCryptoSpan(spans_, "sfs.seal", "sfs.chan", start_ns, clock->now_ns(), sealed.size(),
-                     spans_->current());
-  }
   last_framed_ = seqno;
-  xdr::Encoder frame;
-  frame.PutUint32(seqno);
-  frame.PutOpaque(sealed);
-  return FrameMessage(kMsgEncrypted, frame.Take());
+  return SealFrame(seal_.get(), clock, costs_, spans_, "sfs.chan", seqno, body);
 }
 
 std::vector<util::Result<util::Bytes>> ChannelTransport::Unframe(
     util::Bytes message, const rpc::CallSpanFn& call_span) {
   std::vector<util::Result<util::Bytes>> replies;
-  // The reply frame echoes the request's wire seqno in cleartext
-  // (docs/PROTOCOL.md §10), so a stale duplicate is caught before the
-  // cipher is touched.
-  auto payload = sfs::Unframe(kMsgEncrypted, message);
-  if (!payload.ok()) {
-    replies.push_back(payload.status());
-    return replies;
-  }
-  xdr::Decoder frame(std::move(payload).value());
-  auto seqno = frame.GetUint32();
-  auto sealed = frame.GetOpaque();
-  if (!seqno.ok() || !sealed.ok() || !frame.AtEnd()) {
-    replies.push_back(util::SecurityError("malformed encrypted reply frame"));
+  // The reply frame echoes the request's wire seqno in cleartext, so a
+  // stale duplicate is caught before the cipher is touched.  An empty
+  // message (the server deferring a request that arrived ahead of its
+  // turn) fails to unframe and is discarded.
+  util::Bytes sealed;
+  auto seqno = UnframeSealed(message, &sealed);
+  if (!seqno.ok()) {
+    replies.push_back(seqno.status());
     return replies;
   }
   if (seqno.value() < next_open_ || seqno.value() > last_framed_) {
@@ -158,34 +196,65 @@ std::vector<util::Result<util::Bytes>> ChannelTransport::Unframe(
   // Hold the sealed body and open as far as the in-order cursor allows.
   // A duplicate overwrites with identical bytes (the server's DRC replays
   // the frame verbatim), so the overwrite is harmless.
-  held_[seqno.value()] = std::move(sealed).value();
-  sim::Clock* clock = link()->clock();
+  held_[seqno.value()] = std::move(sealed);
   for (auto it = held_.find(next_open_); it != held_.end(); it = held_.find(next_open_)) {
-    util::Bytes body = std::move(it->second);
+    auto body = OpenBody(open_.get(), link()->clock(), costs_, spans_, "sfs.chan",
+                         call_span(next_open_), std::move(it->second));
     held_.erase(it);
-    if (open_ == nullptr) {
-      costs_->ChargeCopy(clock, body.size());
-    } else {
-      const uint64_t start_ns = clock->now_ns();
-      costs_->ChargeCrypto(clock, body.size());
-      if (const obs::SpanContext parent = call_span(next_open_); parent.valid()) {
-        RecordCryptoSpan(spans_, "sfs.open", "sfs.chan", start_ns, clock->now_ns(),
-                         body.size(), parent);
-      }
-      auto opened = open_->Open(body);
-      if (!opened.ok()) {
-        // Tampered or corrupt at the expected keystream position (or a
-        // stale copy).  Open left the stream untouched; the call's resend
-        // brings the server's DRC replay of the genuine sealed bytes.
-        replies.push_back(opened.status());
-        return replies;
-      }
-      body = std::move(opened).value();
+    if (!body.ok()) {
+      // Tampered or corrupt at the expected keystream position (or a
+      // stale copy).  Open left the stream untouched; the call's resend
+      // brings the server's DRC replay of the genuine sealed bytes.
+      replies.push_back(body.status());
+      return replies;
     }
     ++next_open_;
     replies.push_back(std::move(body));
   }
   return replies;
+}
+
+ChannelServerCodec::ChannelServerCodec(sim::Clock* clock, const sim::CostModel* costs,
+                                       obs::Registry* registry,
+                                       std::unique_ptr<ChannelCipher> seal,
+                                       std::unique_ptr<ChannelCipher> open)
+    : rpc::ServerCodec("sfs.dispatch.", "sfs.drc_hit", "sfs.chan"),
+      clock_(clock),
+      costs_(costs),
+      spans_(&registry->spans()),
+      seal_(std::move(seal)),
+      open_(std::move(open)) {}
+
+util::Result<uint32_t> ChannelServerCodec::Seqno(const util::Bytes& request) {
+  return xdr::PeekUint32(request, kFrameSeqnoOffset);
+}
+
+util::Result<util::Bytes> ChannelServerCodec::Open(const util::Bytes& request) {
+  util::Bytes sealed;
+  ASSIGN_OR_RETURN(const uint32_t seqno, UnframeSealed(request, &sealed));
+  if (seqno > next_open_) {
+    // Sealed at a later keystream position than the cursor, so it would
+    // fail the MAC now: defer it until the gap fills.
+    return util::Bytes{};
+  }
+  if (seqno < next_open_) {
+    // A genuine client's opened seqnos stay in the DRC until below its window.
+    return util::SecurityError("channel seqno behind the receive cursor");
+  }
+  ASSIGN_OR_RETURN(util::Bytes body, OpenBody(open_.get(), clock_, costs_, spans_, "server",
+                                              spans_->current(), std::move(sealed)));
+  if (body.empty()) {
+    // No call body is empty, and an empty one would read as deferred.
+    return util::SecurityError("empty channel message");
+  }
+  ++next_open_;
+  return body;
+}
+
+util::Bytes ChannelServerCodec::Seal(uint32_t seqno, util::Bytes reply) {
+  // Fresh requests execute in seqno order, so the echoed seqnos are the
+  // keystream order the client opens replies in.
+  return SealFrame(seal_.get(), clock_, costs_, spans_, "server", seqno, reply);
 }
 
 util::Bytes SessionKeys::SessionId() const {

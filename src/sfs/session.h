@@ -19,9 +19,9 @@
 // SHA-1 MAC (never used as encryption keystream); the MAC covers length
 // and plaintext; then length || plaintext || MAC are all encrypted.
 //
-// ChannelTransport makes the client half of that channel one more
-// rpc::Transport: the call engine is the same rpc::Client that speaks
-// plain NFS3 over a bare link.
+// ChannelTransport and ChannelServerCodec make the two halves of that
+// channel one more rpc::Transport and rpc::ServerCodec: the same
+// rpc::Client and rpc::Dispatcher speak plain NFS3 over a bare link.
 #ifndef SFS_SRC_SFS_SESSION_H_
 #define SFS_SRC_SFS_SESSION_H_
 
@@ -64,13 +64,6 @@ class ChannelCipher {
   crypto::Arc4 stream_;
 };
 
-// Records one already-elapsed all-kCrypto interval (a seal or open of the
-// channel cipher) under `parent`, in `layer` ("sfs.chan" on the client,
-// "server" on the server).
-void RecordCryptoSpan(obs::SpanCollector* spans, const char* name, const char* layer,
-                      uint64_t start_ns, uint64_t end_ns, uint64_t bytes,
-                      obs::SpanContext parent);
-
 // The client side of an established secure channel as an rpc::Transport.
 // A call body is sealed exactly once and framed as {kMsgEncrypted,
 // seqno, sealed}; retransmissions resend those bytes, so the send
@@ -99,6 +92,35 @@ class ChannelTransport : public rpc::Transport {
   uint32_t last_framed_ = 0;             // Highest seqno sent.
   uint32_t next_open_ = 1;               // Seqno the receive keystream is at.
   std::map<uint32_t, util::Bytes> held_;  // Early replies, still sealed.
+};
+
+// The server side of an established secure channel as an
+// rpc::ServerCodec, ChannelTransport's peer.  The Dispatcher's DRC runs
+// on the cleartext seqno before Open, so a retransmission replays the
+// sealed reply and advances neither keystream.  A fresh request opens
+// only at the receive cursor (the keystream is positional); one ahead of
+// it, behind a lost or late predecessor, is deferred with an empty reply
+// until the client's timer resends it.  Null ciphers select the
+// cleartext ablation.
+class ChannelServerCodec : public rpc::ServerCodec {
+ public:
+  ChannelServerCodec(sim::Clock* clock, const sim::CostModel* costs, obs::Registry* registry,
+                     std::unique_ptr<ChannelCipher> seal, std::unique_ptr<ChannelCipher> open);
+
+  util::Result<uint32_t> Seqno(const util::Bytes& request) override;
+  util::Result<util::Bytes> Open(const util::Bytes& request) override;
+  util::Bytes Seal(uint32_t seqno, util::Bytes reply) override;
+
+  // The seqno of the request opened last: the one being dispatched.
+  uint32_t opened_seqno() const { return next_open_ - 1; }
+
+ private:
+  sim::Clock* clock_;
+  const sim::CostModel* costs_;
+  obs::SpanCollector* spans_;
+  std::unique_ptr<ChannelCipher> seal_;  // Server -> client; null = cleartext.
+  std::unique_ptr<ChannelCipher> open_;  // Client -> server; null = cleartext.
+  uint32_t next_open_ = 1;               // Seqno the receive keystream is at.
 };
 
 // Both directions plus the session identity material.

@@ -12,8 +12,8 @@
 // implements that discipline — the same wire bytes are resent after an
 // exponentially backed-off timeout, up to RetryPolicy::max_transmissions;
 // only then does the caller observe kUnavailable.  Services are expected
-// to deduplicate redelivered requests (see rpc::Dispatcher and
-// sfs::ServerConnection).
+// to deduplicate redelivered requests (see rpc::Dispatcher, which also
+// serves the SFS secure channel).
 //
 // Discrete-event model: pipelined submissions flow through the clock's
 // EventQueue (src/sim/event.h).  Submit() schedules a message-arrival

@@ -7,6 +7,15 @@ namespace {
 constexpr uint32_t kMaxOpaque = 1u << 26;  // 64 MiB
 }  // namespace
 
+util::Result<uint32_t> PeekUint32(const util::Bytes& data, size_t offset) {
+  if (offset + 4 > data.size()) {
+    return util::InvalidArgument("XDR: truncated uint32");
+  }
+  return (static_cast<uint32_t>(data[offset]) << 24) |
+         (static_cast<uint32_t>(data[offset + 1]) << 16) |
+         (static_cast<uint32_t>(data[offset + 2]) << 8) | static_cast<uint32_t>(data[offset + 3]);
+}
+
 void Encoder::PutUint32(uint32_t v) {
   buffer_.push_back(static_cast<uint8_t>(v >> 24));
   buffer_.push_back(static_cast<uint8_t>(v >> 16));
@@ -37,14 +46,10 @@ void Encoder::PutFixedOpaque(const util::Bytes& data) {
 }
 
 util::Result<uint32_t> Decoder::GetUint32() {
-  if (pos_ + 4 > buffer_.size()) {
-    return util::InvalidArgument("XDR: truncated uint32");
+  util::Result<uint32_t> v = PeekUint32(buffer_, pos_);
+  if (v.ok()) {
+    pos_ += 4;
   }
-  uint32_t v = (static_cast<uint32_t>(buffer_[pos_]) << 24) |
-               (static_cast<uint32_t>(buffer_[pos_ + 1]) << 16) |
-               (static_cast<uint32_t>(buffer_[pos_ + 2]) << 8) |
-               static_cast<uint32_t>(buffer_[pos_ + 3]);
-  pos_ += 4;
   return v;
 }
 

@@ -21,6 +21,10 @@ namespace xdr {
 // 4-byte unit.
 constexpr size_t PaddedSize(size_t len) { return (len + 3) & ~size_t{3}; }
 
+// Reads the uint32 at byte `offset` without decoding or copying the rest:
+// lets a framing layer look at one header word (a wire seqno) first.
+util::Result<uint32_t> PeekUint32(const util::Bytes& data, size_t offset);
+
 class Encoder {
  public:
   Encoder() = default;

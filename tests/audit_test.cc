@@ -390,12 +390,19 @@ TEST_F(ServerAuditTest, DispatchedRpcsAreJournaledAndVerify) {
   EXPECT_GT(CountKind(result, AuditKind::kNfs), 0);
   EXPECT_EQ(registry_.CounterValue("audit.records"), result.records_ok);
   EXPECT_GT(registry_.CounterValue("audit.bytes"), 0u);
-  // Every journaled RPC carries the virtual timestamp of its dispatch.
+  // Every journaled RPC carries the virtual timestamp of its dispatch and
+  // the channel seqno it answered, each seqno once, in dispatch order.
   uint64_t last = 0;
+  uint32_t next_seqno = 1;
   for (const AuditRecordInfo& info : result.records) {
     EXPECT_GE(info.record.time_ns, last);
     last = info.record.time_ns;
+    if (info.record.kind == static_cast<uint32_t>(AuditKind::kNfs) ||
+        info.record.kind == static_cast<uint32_t>(AuditKind::kCtl)) {
+      EXPECT_EQ(info.record.wire_seqno, next_seqno++);
+    }
   }
+  EXPECT_GE(next_seqno, 4u);  // GETROOT, LOGIN, CREATE at least.
 }
 
 TEST_F(ServerAuditTest, WriteAndCommitRecordsCarryStableFlag) {

@@ -2,6 +2,7 @@
 // the simulated clock/network/disk, and interposition.
 #include <gtest/gtest.h>
 
+#include "src/obs/span.h"
 #include "src/rpc/rpc.h"
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
@@ -322,6 +323,45 @@ TEST_F(RpcFixture, MismatchedXidDetected) {
   // dispatcher answered the repeats from its duplicate-request cache.
   EXPECT_GT(registry_.CounterValue("rpc.client.stale_retries"), 0u);
   EXPECT_GT(registry_.CounterValue("server.drc_hits"), 0u);
+}
+
+TEST(DispatcherTest, DrcHitSpanParentsUnderTheOriginalCallsContext) {
+  // A duplicate is answered from the cache without being decoded, so its
+  // drc-hit span takes the trace context the executed call carried: not
+  // the ambient span, and not whatever the copy's trailing bytes say.
+  sim::Clock clock;
+  obs::Registry registry;
+  registry.spans().Enable([&clock] { return clock.now_ns(); }, nullptr);
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(
+      77, [](uint32_t, const Bytes& args) -> util::Result<Bytes> { return args; });
+  auto call = [](uint64_t parent_span) {
+    xdr::Encoder enc;
+    enc.PutUint32(/*xid=*/1);
+    enc.PutUint32(/*seqno=*/1);
+    enc.PutUint32(77);
+    enc.PutUint32(/*proc=*/1);
+    enc.PutOpaque(BytesOf("x"));
+    enc.PutUint64(/*trace_id=*/5);
+    enc.PutUint64(parent_span);
+    return enc.Take();
+  };
+  auto reply = dispatcher.Handle(call(9));
+  ASSERT_TRUE(reply.ok());
+
+  obs::ScopedSpan ambient(&registry.spans(), "ambient", "test");
+  auto replay = dispatcher.Handle(call(11));
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay.value(), reply.value());
+  int hits = 0;
+  for (const obs::Span& span : registry.spans().finished()) {
+    if (span.name == "rpc.drc_hit") {
+      ++hits;
+      EXPECT_EQ(span.trace_id, 5u);
+      EXPECT_EQ(span.parent_id, 9u);
+    }
+  }
+  EXPECT_EQ(hits, 1);
 }
 
 // --- Status / Result ---------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "src/sim/cost_model.h"
 #include "src/sim/network.h"
 #include "src/util/bytes.h"
+#include "src/xdr/xdr.h"
 
 namespace {
 
@@ -243,6 +244,15 @@ class ObsTest : public ::testing::Test {
     return *mount;
   }
 
+  // GETATTR of `fh` in the SFS dialect, for driving the call engine
+  // directly: the anonymous authentication number, then the handle.
+  static Bytes GetAttrArgs(const FileHandle& fh) {
+    xdr::Encoder args;
+    args.PutUint32(sfs::kAnonymousAuthno);
+    args.PutOpaque(fh);
+    return args.Take();
+  }
+
   // Secure-channel events only (the SFS client/server layers).
   std::vector<obs::TraceEvent> ChanEvents() {
     std::vector<obs::TraceEvent> out;
@@ -426,6 +436,8 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
   // ring-buffer trace, not just counters, must prove it per window size.
   for (uint32_t window : {2u, 4u, 8u}) {
     SCOPED_TRACE("window=" + std::to_string(window));
+    const uint64_t occupancy_before = registry_.CounterValue("rpc.client.window_occupancy_sum");
+    const uint64_t samples_before = registry_.CounterValue("rpc.client.window_samples");
     SfsClient::Options options;
     options.ephemeral_key_bits = kKeyBits;
     options.registry = &registry_;
@@ -456,8 +468,33 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
       EXPECT_EQ(data, BytesOf(name));
       ASSERT_EQ(fs->Remove((*mount)->root_fh(), name, cred), Stat::kOk);
     }
-    (*mount)->rpc()->Drain();
+    // Bursts of asynchronous GETATTRs keep several calls in flight, so a
+    // lost request leaves its successors ahead of the server's receive
+    // cursor; none of them may fail.
+    int failed = 0;
+    std::string first_error;
+    for (int burst = 0; burst < 20; ++burst) {
+      for (int i = 0; i < 8; ++i) {
+        (*mount)->rpc()->CallAsync(nfs::kNfsProgram, nfs::kProcGetAttr,
+                                   GetAttrArgs((*mount)->root_fh()),
+                                   [&](util::Result<Bytes> reply) {
+                                     if (!reply.ok() && failed++ == 0) {
+                                       first_error = reply.status().ToString();
+                                     }
+                                   });
+      }
+      (*mount)->rpc()->Drain();
+    }
+    EXPECT_EQ(failed, 0) << "of 160 calls; first: " << first_error;
     EXPECT_EQ((*mount)->rpc()->in_flight(), 0u);
+    // The sweep genuinely pipelined: on average more than one call was in
+    // flight whenever a call entered the window.
+    const uint64_t samples =
+        registry_.CounterValue("rpc.client.window_samples") - samples_before;
+    const uint64_t occupancy =
+        registry_.CounterValue("rpc.client.window_occupancy_sum") - occupancy_before;
+    ASSERT_GT(samples, 0u);
+    EXPECT_GT(static_cast<double>(occupancy) / static_cast<double>(samples), 1.0);
 
     // This window's slice of the trace (the ring is large enough that
     // nothing from this run has been evicted).
@@ -519,6 +556,74 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
           << "DRC hit for seqno " << seqno << " that was never dispatched";
     }
   }
+}
+
+// Drops the next request once armed, and nothing else.
+class DropNextRequest : public sim::Interposer {
+ public:
+  void Arm() { armed_ = true; }
+  util::Result<Bytes> OnRequest(Bytes request) override {
+    if (armed_) {
+      armed_ = false;
+      return util::Unavailable("dropped in transit");
+    }
+    return request;
+  }
+
+ private:
+  bool armed_ = false;
+};
+
+TEST_F(ObsTest, LosingTheFirstOfTwoPipelinedRequestsKeepsTheSession) {
+  // The second request reaches the server ahead of the receive cursor.
+  // It must be deferred (not opened at the wrong keystream position,
+  // which would fail its MAC and kill the session) until the first one's
+  // resend fills the gap; then both execute once, in seqno order.
+  SfsClient::Options options;
+  options.ephemeral_key_bits = kKeyBits;
+  options.registry = &registry_;
+  options.window = 4;
+  SfsClient client(&clock_, &costs_, [this](const std::string&) { return server_.get(); },
+                   options);
+  auto mount = client.Mount(server_->Path());
+  ASSERT_TRUE(mount.ok()) << mount.status().ToString();
+  DropNextRequest dropper;
+  (*mount)->link()->set_interposer(&dropper);
+  const size_t skip = sink_.Events().size();
+  const uint64_t unmatched_before = registry_.CounterValue("rpc.client.unmatched_replies");
+
+  dropper.Arm();
+  std::vector<util::Result<Bytes>> results;
+  for (int i = 0; i < 2; ++i) {
+    (*mount)->rpc()->CallAsync(nfs::kNfsProgram, nfs::kProcGetAttr,
+                               GetAttrArgs((*mount)->root_fh()),
+                               [&results](util::Result<Bytes> reply) {
+                                 results.push_back(std::move(reply));
+                               });
+  }
+  (*mount)->rpc()->Drain();
+  ASSERT_EQ(results.size(), 2u);
+  for (const util::Result<Bytes>& result : results) {
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  }
+  // The early frame was answered with an empty message, which the client
+  // discarded.
+  EXPECT_GT(registry_.CounterValue("rpc.client.unmatched_replies"), unmatched_before);
+
+  std::vector<uint32_t> dispatched;
+  std::vector<obs::TraceEvent> events = sink_.Events();
+  for (size_t i = skip; i < events.size(); ++i) {
+    if (events[i].kind == obs::TraceEvent::Kind::kServerDispatch) {
+      dispatched.push_back(events[i].seqno);
+    }
+  }
+  ASSERT_EQ(dispatched.size(), 2u) << "each seqno dispatched exactly once";
+  EXPECT_EQ(dispatched[1], dispatched[0] + 1);
+
+  // The session is still usable.
+  EXPECT_TRUE((*mount)->rpc()
+                  ->Call(nfs::kNfsProgram, nfs::kProcGetAttr, GetAttrArgs((*mount)->root_fh()))
+                  .ok());
 }
 
 // --- Snapshot round-trip -----------------------------------------------------

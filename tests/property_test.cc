@@ -5,15 +5,20 @@
 // coherence between clients under lease callbacks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/crypto/prng.h"
 #include "src/crypto/rabin.h"
 #include "src/nfs/memfs.h"
+#include "src/obs/trace.h"
 #include "src/sfs/client.h"
 #include "src/sfs/proto.h"
 #include "src/sfs/server.h"
@@ -283,102 +288,234 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XdrFuzzTest, ::testing::Values(100, 200, 300));
 
 #include "src/rpc/rpc.h"
 
-// With a sliding send window, the server sees call frames out of order
-// and redelivered, and the client sees reply frames out of order and
-// corrupted.  Neither side may crash or violate at-most-once, whatever
-// the stream looks like.
-class PipelinedFramingFuzzTest : public ::testing::TestWithParam<uint64_t> {
- protected:
-  // Fisher-Yates using the test's PRNG, so every seed sweeps a different
-  // delivery order.
-  template <typename T>
-  static void Shuffle(std::vector<T>* v, crypto::Prng* prng) {
-    for (size_t i = v->size(); i > 1; --i) {
-      std::swap((*v)[i - 1], (*v)[prng->RandomUint64(i)]);
+// Fisher-Yates using the test's PRNG, so every seed sweeps a different
+// delivery order.
+template <typename T>
+void Shuffle(std::vector<T>* v, crypto::Prng* prng) {
+  for (size_t i = v->size(); i > 1; --i) {
+    std::swap((*v)[i - 1], (*v)[prng->RandomUint64(i)]);
+  }
+}
+
+Bytes Mutate(Bytes frame, crypto::Prng* prng) {
+  if (prng->RandomUint64(2) == 0 && !frame.empty()) {
+    frame.resize(prng->RandomUint64(frame.size()));
+  }
+  for (uint64_t flips = prng->RandomUint64(4); flips > 0 && !frame.empty(); --flips) {
+    frame[prng->RandomUint64(frame.size())] ^= static_cast<uint8_t>(prng->RandomUint64(256));
+  }
+  return frame;
+}
+
+// The two server wire formats in front of rpc::Dispatcher.
+enum class ServerFormat { kPlain, kChannel };
+
+// One server connection under test.  Frame() builds call `seqno` the way
+// that format's client does (the channel seals positionally, so calls
+// are framed in seqno order); Deliver() hands any frame to the server.
+// The server's trace records what it executed.
+class CallStream {
+ public:
+  CallStream() : sink_(1 << 12) { registry_.tracer().AddSink(&sink_); }
+  virtual ~CallStream() = default;
+  virtual Bytes Frame(uint32_t seqno, const Bytes& payload) = 0;
+  virtual util::Result<Bytes> Deliver(const Bytes& frame) = 0;
+
+  // The seqno of every handler execution, in execution order.
+  std::vector<uint32_t> Executed() const {
+    std::vector<uint32_t> seqnos;
+    for (const obs::TraceEvent& event : sink_.Events()) {
+      if (event.kind == obs::TraceEvent::Kind::kServerDispatch) {
+        seqnos.push_back(event.seqno);
+      }
     }
+    return seqnos;
   }
 
-  static Bytes CallFrame(uint32_t xid, uint32_t seqno, uint32_t prog, uint32_t proc,
-                         const Bytes& args) {
+ protected:
+  sim::Clock clock_;
+  sim::CostModel costs_;
+  obs::Registry registry_;
+  obs::RingBufferSink sink_;
+};
+
+// A plain Dispatcher with an echo program.
+class PlainStream : public CallStream {
+ public:
+  PlainStream() : dispatcher_(&registry_, &clock_) {
+    dispatcher_.RegisterProgram(
+        kProg, [](uint32_t, const Bytes& args) -> util::Result<Bytes> { return args; });
+  }
+  Bytes Frame(uint32_t seqno, const Bytes& payload) override {
     xdr::Encoder enc;
-    enc.PutUint32(xid);
+    enc.PutUint32(/*xid=*/100 + seqno);
     enc.PutUint32(seqno);
-    enc.PutUint32(prog);
-    enc.PutUint32(proc);
-    enc.PutOpaque(args);
+    enc.PutUint32(kProg);
+    enc.PutUint32(/*proc=*/1);
+    enc.PutOpaque(payload);
     return enc.Take();
   }
+  util::Result<Bytes> Deliver(const Bytes& frame) override { return dispatcher_.Handle(frame); }
 
-  static Bytes Mutate(Bytes frame, crypto::Prng* prng) {
-    if (prng->RandomUint64(2) == 0 && !frame.empty()) {
-      frame.resize(prng->RandomUint64(frame.size()));
+ private:
+  static constexpr uint32_t kProg = 77;
+  rpc::Dispatcher dispatcher_;
+};
+
+// A ServerConnection driven by hand through a real handshake, as sfscd
+// would; its calls are control-program GETROOTs sealed under kcs.
+class ChannelStream : public CallStream {
+ public:
+  static constexpr size_t kKeyBits = 512;
+
+  util::Status Connect(crypto::Prng* prng) {
+    sfs::SfsServer::Options options;
+    options.location = "fuzz.test";
+    options.key_bits = kKeyBits;
+    options.registry = &registry_;
+    server_ = std::make_unique<sfs::SfsServer>(&clock_, &costs_, options, nullptr);
+    connection_ = std::move(server_->CreateConnection().connection);
+
+    xdr::Encoder hello;
+    hello.PutUint32(static_cast<uint32_t>(sfs::ServiceType::kFileServer));
+    hello.PutString(server_->Path().location);
+    hello.PutOpaque(server_->Path().host_id);
+    hello.PutString("");
+    RETURN_IF_ERROR(
+        connection_->Handle(sfs::FrameMessage(sfs::kMsgConnect, hello.Take())).status());
+    ASSIGN_OR_RETURN(sfs::ClientNegotiation negotiation,
+                     sfs::ClientNegotiation::Start(server_->public_key(), prng, kKeyBits));
+    xdr::Encoder neg;
+    neg.PutOpaque(negotiation.ephemeral_key.public_key().Serialize());
+    neg.PutOpaque(negotiation.enc_kc1);
+    neg.PutOpaque(negotiation.enc_kc2);
+    neg.PutBool(false);
+    ASSIGN_OR_RETURN(Bytes reply,
+                     connection_->Handle(sfs::FrameMessage(sfs::kMsgNegotiate, neg.Take())));
+    ASSIGN_OR_RETURN(Bytes payload, sfs::Unframe(sfs::kMsgNegotiate, reply));
+    xdr::Decoder dec(std::move(payload));
+    ASSIGN_OR_RETURN(bool cleartext, dec.GetBool());
+    ASSIGN_OR_RETURN(Bytes enc_ks1, dec.GetOpaque());
+    ASSIGN_OR_RETURN(Bytes enc_ks2, dec.GetOpaque());
+    if (cleartext) {
+      return util::SecurityError("server refused to encrypt");
     }
-    for (uint64_t flips = prng->RandomUint64(4); flips > 0 && !frame.empty(); --flips) {
-      frame[prng->RandomUint64(frame.size())] ^=
-          static_cast<uint8_t>(prng->RandomUint64(256));
+    ASSIGN_OR_RETURN(sfs::SessionKeys keys,
+                     negotiation.Finish(server_->public_key(), enc_ks1, enc_ks2));
+    seal_ = std::make_unique<sfs::ChannelCipher>(keys.kcs);
+    return util::OkStatus();
+  }
+
+  Bytes Frame(uint32_t seqno, const Bytes& payload) override {
+    xdr::Encoder body;
+    body.PutUint32(/*xid=*/100 + seqno);
+    body.PutUint32(sfs::kSfsCtlProgram);
+    body.PutUint32(sfs::kCtlGetRoot);
+    body.PutOpaque(payload);
+    xdr::Encoder frame;
+    frame.PutUint32(seqno);
+    frame.PutOpaque(seal_->Seal(body.Take()));
+    return sfs::FrameMessage(sfs::kMsgEncrypted, frame.Take());
+  }
+  util::Result<Bytes> Deliver(const Bytes& frame) override { return connection_->Handle(frame); }
+
+ private:
+  std::unique_ptr<sfs::SfsServer> server_;
+  std::unique_ptr<sim::Service> connection_;
+  std::unique_ptr<sfs::ChannelCipher> seal_;  // Client -> server.
+};
+
+// With a sliding send window, the server sees call frames out of order
+// and redelivered.  On either wire format it may not crash or violate
+// at-most-once, whatever the stream looks like.
+class PipelinedFramingFuzzTest
+    : public ::testing::TestWithParam<std::tuple<ServerFormat, uint64_t>> {
+ protected:
+  bool channel() const { return std::get<0>(GetParam()) == ServerFormat::kChannel; }
+
+  std::unique_ptr<CallStream> NewStream(crypto::Prng* prng) {
+    if (!channel()) {
+      return std::make_unique<PlainStream>();
     }
-    return frame;
+    auto stream = std::make_unique<ChannelStream>();
+    const util::Status connected = stream->Connect(prng);
+    EXPECT_TRUE(connected.ok()) << connected.ToString();
+    return connected.ok() ? std::move(stream) : nullptr;
   }
 };
 
 TEST_P(PipelinedFramingFuzzTest, ReorderedAndCorruptCallStreamsKeepAtMostOnce) {
-  crypto::Prng prng(GetParam());
-  sim::Clock clock;
-  obs::Registry registry;
-  rpc::Dispatcher dispatcher(&registry, &clock);
-  constexpr uint32_t kProg = 77;
-  std::map<std::string, int> executions;
-  dispatcher.RegisterProgram(kProg, [&](uint32_t, const Bytes& args) -> util::Result<Bytes> {
-    ++executions[util::StringOf(args)];
-    return args;
-  });
+  crypto::Prng prng(std::get<1>(GetParam()));
+  std::unique_ptr<CallStream> stream = NewStream(&prng);
+  ASSERT_NE(stream, nullptr);
 
-  // A window's worth of valid call frames, as the pipelined client seals
+  // A window's worth of valid call frames, as the pipelined client frames
   // them: consecutive seqnos, distinct payloads.
   constexpr uint32_t kBatch = 16;
   std::vector<Bytes> frames;
-  std::vector<Bytes> replies(kBatch);
   for (uint32_t i = 0; i < kBatch; ++i) {
-    frames.push_back(
-        CallFrame(/*xid=*/100 + i, /*seqno=*/1 + i, kProg, /*proc=*/1,
-                  BytesOf("call-" + std::to_string(i))));
+    frames.push_back(stream->Frame(/*seqno=*/1 + i, BytesOf("call-" + std::to_string(i))));
+  }
+  std::vector<Bytes> replies(kBatch);
+  std::vector<uint32_t> order(kBatch);
+  std::iota(order.begin(), order.end(), 0);
+
+  // Out-of-order first delivery.  Plain RPC executes every call.  The
+  // channel executes only the frame at its receive cursor and answers
+  // the rest, which it cannot open yet, with empty replies.
+  Shuffle(&order, &prng);
+  uint32_t cursor = 1;
+  for (uint32_t i : order) {
+    auto reply = stream->Deliver(frames[i]);
+    ASSERT_TRUE(reply.ok()) << "frame " << i << ": " << reply.status().message();
+    const bool executes = !channel() || 1 + i == cursor;
+    EXPECT_EQ(reply->empty(), !executes) << "frame " << i;
+    if (executes) {
+      replies[i] = reply.value();
+      ++cursor;
+    }
   }
 
-  // Out-of-order first delivery: every frame accepted, every payload
-  // executed exactly once.
-  std::vector<uint32_t> order(kBatch);
+  // Redelivering the refused frames until none is refused executes every
+  // call exactly once — on the channel, in seqno order.
+  for (uint32_t pass = 0; pass < kBatch; ++pass) {
+    Shuffle(&order, &prng);
+    for (uint32_t i : order) {
+      if (replies[i].empty()) {
+        auto reply = stream->Deliver(frames[i]);
+        ASSERT_TRUE(reply.ok()) << "frame " << i << ": " << reply.status().message();
+        replies[i] = reply.value();
+      }
+    }
+  }
   for (uint32_t i = 0; i < kBatch; ++i) {
-    order[i] = i;
+    EXPECT_FALSE(replies[i].empty()) << "frame " << i << " still refused";
   }
-  Shuffle(&order, &prng);
-  for (uint32_t i : order) {
-    auto reply = dispatcher.Handle(frames[i]);
-    ASSERT_TRUE(reply.ok()) << "frame " << i << ": " << reply.status().message();
-    replies[i] = reply.value();
-  }
-  EXPECT_EQ(executions.size(), kBatch);
-  for (const auto& [payload, count] : executions) {
-    EXPECT_EQ(count, 1) << payload;
+  const std::vector<uint32_t> executed = stream->Executed();
+  EXPECT_EQ(executed.size(), kBatch);
+  EXPECT_EQ(std::set<uint32_t>(executed.begin(), executed.end()).size(), kBatch);
+  if (channel()) {
+    EXPECT_TRUE(std::is_sorted(executed.begin(), executed.end()));
   }
 
   // Shuffled redelivery (retransmitted copies): the DRC replays each
-  // reply byte-identical, with no re-execution.
+  // reply byte-identical — sealed, on the channel — with no re-execution.
   Shuffle(&order, &prng);
   for (uint32_t i : order) {
-    auto replay = dispatcher.Handle(frames[i]);
+    auto replay = stream->Deliver(frames[i]);
     ASSERT_TRUE(replay.ok());
     EXPECT_EQ(replay.value(), replies[i]) << "DRC replay differs for frame " << i;
   }
-  for (const auto& [payload, count] : executions) {
-    EXPECT_EQ(count, 1) << "redelivery re-executed " << payload;
-  }
+  EXPECT_EQ(stream->Executed().size(), kBatch) << "redelivery re-executed a call";
 
   // Corruption sweep: truncated/flipped frames must decode cleanly or
-  // fail cleanly — never crash the dispatcher.  The replies it produced
-  // get the same treatment through the client's reply-decode sequence.
+  // fail cleanly — never crash the server (the channel dies at the first
+  // frame that reaches its cipher and fails to open).  The replies it
+  // produced get the same treatment through the client's reply-decode
+  // sequence.
   for (int trial = 0; trial < 200; ++trial) {
     Bytes call = Mutate(frames[prng.RandomUint64(kBatch)], &prng);
-    (void)dispatcher.Handle(call);
+    (void)stream->Deliver(call);
 
     xdr::Decoder dec(Mutate(replies[prng.RandomUint64(kBatch)], &prng));
     auto xid = dec.GetUint32();
@@ -395,10 +532,47 @@ TEST_P(PipelinedFramingFuzzTest, ReorderedAndCorruptCallStreamsKeepAtMostOnce) {
       }
     }
   }
-  SUCCEED();
+
+  // The DRC window edge, on a fresh connection.  With seqnos up to M
+  // executed, M - (kDrcWindow - 1) still replays and M - kDrcWindow fails
+  // closed; on the channel that also kills the connection.
+  std::unique_ptr<CallStream> fresh = NewStream(&prng);
+  ASSERT_NE(fresh, nullptr);
+  constexpr uint32_t kMax = rpc::kDrcWindow + 16;
+  std::vector<Bytes> calls;
+  std::vector<Bytes> answers;
+  for (uint32_t seqno = 1; seqno <= kMax; ++seqno) {
+    calls.push_back(fresh->Frame(seqno, BytesOf("edge-" + std::to_string(seqno))));
+    auto answer = fresh->Deliver(calls.back());
+    ASSERT_TRUE(answer.ok() && !answer->empty()) << "seqno " << seqno;
+    answers.push_back(answer.value());
+  }
+  const uint32_t oldest = kMax - (rpc::kDrcWindow - 1);
+  auto replay = fresh->Deliver(calls[oldest - 1]);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay.value(), answers[oldest - 1]);
+  EXPECT_FALSE(fresh->Deliver(calls[oldest - 2]).ok()) << "seqno below the window answered";
+  EXPECT_EQ(fresh->Executed().size(), kMax);
+  if (channel()) {
+    EXPECT_FALSE(fresh->Deliver(fresh->Frame(kMax + 1, BytesOf("after"))).ok())
+        << "connection survived a seqno below the window";
+  }
 }
 
-TEST_P(PipelinedFramingFuzzTest, ReorderedAndCorruptReplyStreamsDecodeOrFailCleanly) {
+INSTANTIATE_TEST_SUITE_P(
+    Formats, PipelinedFramingFuzzTest,
+    ::testing::Combine(::testing::Values(ServerFormat::kPlain, ServerFormat::kChannel),
+                       ::testing::Values(41, 42, 43, 44)),
+    [](const ::testing::TestParamInfo<PipelinedFramingFuzzTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param) == ServerFormat::kPlain ? "Plain" : "Channel") +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// The client sees reply frames out of order and corrupted; decoding may
+// not crash or open a tampered frame.
+class PipelinedReplyFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PipelinedReplyFuzzTest, ReorderedAndCorruptReplyStreamsDecodeOrFailCleanly) {
   crypto::Prng prng(GetParam());
   Bytes key = prng.RandomBytes(20);
 
@@ -499,8 +673,7 @@ TEST_P(PipelinedFramingFuzzTest, ReorderedAndCorruptReplyStreamsDecodeOrFailClea
   SUCCEED();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PipelinedFramingFuzzTest,
-                         ::testing::Values(41, 42, 43, 44));
+INSTANTIATE_TEST_SUITE_P(Seeds, PipelinedReplyFuzzTest, ::testing::Values(41, 42, 43, 44));
 
 // --- Cache transparency ----------------------------------------------------------------
 
