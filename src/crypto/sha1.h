@@ -53,6 +53,26 @@ void HmacSha1(const uint8_t* key, size_t key_len, const uint8_t* message, size_t
               uint8_t out[kSha1DigestSize]);
 util::Bytes HmacSha1(const util::Bytes& key, const util::Bytes& message);
 
+// The block-compression kernels behind Sha1, exposed for the differential
+// test and bench/crypto_prims; everything else hashes through Sha1.
+namespace sha1_detail {
+
+// Compresses `blocks` consecutive 64-byte blocks, read in place, into state.
+using CompressFn = void (*)(uint32_t state[5], const uint8_t* data, size_t blocks);
+
+// The unrolled portable loop: the only kernel on CPUs without the x86 SHA
+// extensions, and the oracle the SHA-NI kernel is tested against.
+void CompressPortable(uint32_t state[5], const uint8_t* data, size_t blocks);
+
+// The kernel on the x86 SHA extensions, or null where it is compiled out
+// or the CPU lacks SHA or SSE4.1 (read through CPUID).
+CompressFn ShaNiKernel();
+
+// The kernel Sha1 runs, chosen once per process on first use: "sha-ni"
+// or "portable".
+const char* KernelName();
+
+}  // namespace sha1_detail
 }  // namespace crypto
 
 #endif  // SFS_SRC_CRYPTO_SHA1_H_

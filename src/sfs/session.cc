@@ -14,9 +14,16 @@ constexpr size_t kMacKeySize = 32;
 constexpr size_t kMacSize = crypto::kSha1DigestSize;
 constexpr size_t kLengthSize = 4;  // XDR uint32, big-endian.
 
-// The channel frame is {kMsgEncrypted, {seqno, sealed}}: the cleartext
-// seqno (docs/PROTOCOL.md §10) follows the type and the payload length.
+// The channel frame is FrameMessage(kMsgEncrypted, {seqno, opaque body}),
+// written and read in one buffer: {kMsgEncrypted, payload length, seqno,
+// n, the n body bytes, zero pad}, where the payload is everything after
+// the first two words.  A sealed body is a whole number of XDR units, so
+// only the cleartext ablation's body is padded.  The cleartext seqno
+// (docs/PROTOCOL.md §10) opens the payload.
+constexpr size_t kFramePayloadOffset = 8;
 constexpr size_t kFrameSeqnoOffset = 8;
+constexpr size_t kFrameBodyLengthOffset = 12;
+constexpr size_t kFrameHeaderSize = 16;
 
 // Records one already-elapsed all-kCrypto interval (a seal or an open)
 // under `parent`; one outside any call is not recorded.
@@ -36,39 +43,75 @@ void RecordCryptoSpan(obs::SpanCollector* spans, const char* name, const char* l
   spans->RecordClosed(std::move(span), parent);
 }
 
-// Seals `body` into its channel frame, charging the crypto, and records
-// an sfs.seal span in `layer` under the ambient span.  A null cipher is
-// the cleartext ablation: the body is charged as a copy and framed as is.
+// Seals `body` straight into its channel frame, charging the crypto, and
+// records an sfs.seal span in `layer` under the ambient span.  A null
+// cipher is the cleartext ablation: the body is charged as a copy and
+// framed as is.
 util::Bytes SealFrame(ChannelCipher* cipher, sim::Clock* clock, const sim::CostModel* costs,
                       obs::SpanCollector* spans, const char* layer, uint32_t seqno,
                       const util::Bytes& body) {
-  xdr::Encoder frame;
-  frame.PutUint32(seqno);
+  const size_t len = cipher == nullptr ? body.size() : ChannelCipher::SealedSize(body.size());
+  util::Bytes frame(kFrameHeaderSize + xdr::PaddedSize(len));  // Zeroed, so the pad is free.
+  xdr::PokeUint32(frame.data(), kMsgEncrypted);
+  xdr::PokeUint32(frame.data() + 4, static_cast<uint32_t>(frame.size() - kFramePayloadOffset));
+  xdr::PokeUint32(frame.data() + kFrameSeqnoOffset, seqno);
+  xdr::PokeUint32(frame.data() + kFrameBodyLengthOffset, static_cast<uint32_t>(len));
   if (cipher == nullptr) {
     costs->ChargeCopy(clock, body.size());
-    frame.PutOpaque(body);
+    if (!body.empty()) {
+      std::memcpy(frame.data() + kFrameHeaderSize, body.data(), body.size());
+    }
   } else {
     const uint64_t start_ns = clock->now_ns();
-    util::Bytes sealed = cipher->Seal(body);
-    costs->ChargeCrypto(clock, sealed.size());
-    RecordCryptoSpan(spans, "sfs.seal", layer, start_ns, clock->now_ns(), sealed.size(),
-                     spans->current());
-    frame.PutOpaque(sealed);
+    cipher->Seal(body.data(), body.size(), frame.data() + kFrameHeaderSize);
+    costs->ChargeCrypto(clock, len);
+    RecordCryptoSpan(spans, "sfs.seal", layer, start_ns, clock->now_ns(), len, spans->current());
   }
-  return FrameMessage(kMsgEncrypted, frame.Take());
+  return frame;
 }
 
-// Returns the frame's seqno and moves its sealed body into `sealed`.
-util::Result<uint32_t> UnframeSealed(const util::Bytes& message, util::Bytes* sealed) {
-  ASSIGN_OR_RETURN(util::Bytes payload, Unframe(kMsgEncrypted, message));
-  xdr::Decoder frame(std::move(payload));
-  auto seqno = frame.GetUint32();
-  auto body = frame.GetOpaque();
-  if (!seqno.ok() || !body.ok() || !frame.AtEnd()) {
+// Returns the frame's seqno and copies its body into `body`: the one copy
+// a received message gets before Open decrypts it in place.  Runs every
+// check of Unframe(kMsgEncrypted, message) and of the payload's {seqno,
+// opaque} decode, in the same order and with the same status codes: a
+// fault in the connection frame's XDR is kInvalidArgument, and any other
+// malformation kSecurityError.
+util::Result<uint32_t> UnframeSealed(const util::Bytes& message, util::Bytes* body) {
+  ASSIGN_OR_RETURN(const uint32_t type, xdr::PeekUint32(message, 0));
+  ASSIGN_OR_RETURN(const uint32_t payload_len, xdr::PeekUint32(message, 4));
+  if (payload_len > xdr::kMaxOpaque) {
+    return util::InvalidArgument("XDR: opaque too large");
+  }
+  const size_t payload_end = kFramePayloadOffset + payload_len;
+  const size_t frame_end = kFramePayloadOffset + xdr::PaddedSize(payload_len);
+  if (frame_end > message.size()) {
+    return util::InvalidArgument("XDR: truncated opaque");
+  }
+  for (size_t k = payload_end; k < frame_end; ++k) {
+    if (message[k] != 0) {
+      return util::InvalidArgument("XDR: nonzero padding");
+    }
+  }
+  if (type != kMsgEncrypted || frame_end != message.size()) {
+    return util::SecurityError("unexpected channel framing");
+  }
+  if (payload_end < kFrameHeaderSize) {
     return util::SecurityError("malformed channel frame");
   }
-  *sealed = std::move(body).value();
-  return seqno.value();
+  const uint32_t seqno = xdr::PeekUint32(message, kFrameSeqnoOffset).value();
+  const uint32_t len = xdr::PeekUint32(message, kFrameBodyLengthOffset).value();
+  // Too large, truncated, or trailing bytes after the pad.
+  if (len > xdr::kMaxOpaque || kFrameHeaderSize + xdr::PaddedSize(len) != payload_end) {
+    return util::SecurityError("malformed channel frame");
+  }
+  for (size_t k = kFrameHeaderSize + len; k < payload_end; ++k) {
+    if (message[k] != 0) {
+      return util::SecurityError("malformed channel frame");
+    }
+  }
+  const auto begin = message.begin() + kFrameHeaderSize;
+  body->assign(begin, begin + len);
+  return seqno;
 }
 
 // Opens one sealed body, charging the crypto first, and records an
@@ -84,14 +127,18 @@ util::Result<util::Bytes> OpenBody(ChannelCipher* cipher, sim::Clock* clock,
   const uint64_t start_ns = clock->now_ns();
   costs->ChargeCrypto(clock, sealed.size());
   RecordCryptoSpan(spans, "sfs.open", layer, start_ns, clock->now_ns(), sealed.size(), parent);
-  return cipher->Open(sealed);
+  return cipher->Open(std::move(sealed));
 }
 
 }  // namespace
 
 ChannelCipher::ChannelCipher(const util::Bytes& session_key) : stream_(session_key) {}
 
-util::Bytes ChannelCipher::Seal(const util::Bytes& plaintext) {
+size_t ChannelCipher::SealedSize(size_t len) {
+  return kLengthSize + xdr::PaddedSize(len) + kMacSize;
+}
+
+void ChannelCipher::Seal(const uint8_t* plaintext, size_t len, uint8_t* out) {
   // 32 bytes of keystream re-key the MAC for this message and are never
   // used for encryption (paper §3.1.3).  Crypt over zeros yields the bare
   // keystream.
@@ -99,22 +146,24 @@ util::Bytes ChannelCipher::Seal(const util::Bytes& plaintext) {
   stream_.Crypt(mac_key, kMacKeySize);
 
   // XDR framing: length, plaintext, zero pad to a 4-byte boundary; then
-  // the MAC of all that.  The buffer starts zeroed, so the pad is free.
-  const size_t len = plaintext.size();
+  // the MAC of all that.
   const size_t framed_len = kLengthSize + xdr::PaddedSize(len);
-  util::Bytes sealed(framed_len + kMacSize);
-  for (size_t k = 0; k < kLengthSize; ++k) {
-    sealed[k] = static_cast<uint8_t>(len >> (8 * (kLengthSize - 1 - k)));
-  }
+  xdr::PokeUint32(out, static_cast<uint32_t>(len));
   if (len > 0) {
-    std::memcpy(sealed.data() + kLengthSize, plaintext.data(), len);
+    std::memcpy(out + kLengthSize, plaintext, len);
   }
-  crypto::HmacSha1(mac_key, kMacKeySize, sealed.data(), framed_len, sealed.data() + framed_len);
-  stream_.Crypt(&sealed);  // Length, message, and MAC all get encrypted.
+  std::memset(out + kLengthSize + len, 0, framed_len - kLengthSize - len);
+  crypto::HmacSha1(mac_key, kMacKeySize, out, framed_len, out + framed_len);
+  stream_.Crypt(out, framed_len + kMacSize);  // Length, message, and MAC all get encrypted.
+}
+
+util::Bytes ChannelCipher::Seal(const util::Bytes& plaintext) {
+  util::Bytes sealed(SealedSize(plaintext.size()));
+  Seal(plaintext.data(), plaintext.size(), sealed.data());
   return sealed;
 }
 
-util::Result<util::Bytes> ChannelCipher::Open(const util::Bytes& sealed) {
+util::Result<util::Bytes> ChannelCipher::Open(util::Bytes sealed) {
   // Transactional: a failed Open must leave the stream where it was, so a
   // stale or corrupt message does not desynchronize the channel for the
   // genuine copy that retransmission will deliver.
@@ -129,31 +178,30 @@ util::Result<util::Bytes> ChannelCipher::Open(const util::Bytes& sealed) {
   }
   uint8_t mac_key[kMacKeySize] = {};
   stream_.Crypt(mac_key, kMacKeySize);
-  util::Bytes buf = sealed;
-  stream_.Crypt(&buf);
+  stream_.Crypt(&sealed);
 
-  const size_t framed_len = buf.size() - kMacSize;
+  const size_t framed_len = sealed.size() - kMacSize;
   uint8_t mac[kMacSize];
-  crypto::HmacSha1(mac_key, kMacKeySize, buf.data(), framed_len, mac);
-  if (!util::ConstantTimeEquals(mac, buf.data() + framed_len, kMacSize)) {
+  crypto::HmacSha1(mac_key, kMacKeySize, sealed.data(), framed_len, mac);
+  if (!util::ConstantTimeEquals(mac, sealed.data() + framed_len, kMacSize)) {
     return fail("MAC check failed");
   }
   size_t len = 0;
   for (size_t k = 0; k < kLengthSize; ++k) {
-    len = (len << 8) | buf[k];
+    len = (len << 8) | sealed[k];
   }
   if (kLengthSize + xdr::PaddedSize(len) != framed_len) {
     return fail("length field inconsistent with message");
   }
   for (size_t k = kLengthSize + len; k < framed_len; ++k) {
-    if (buf[k] != 0) {
+    if (sealed[k] != 0) {
       return fail("length field inconsistent with message");
     }
   }
   // The plaintext moves down over the length word within the one buffer.
-  std::memmove(buf.data(), buf.data() + kLengthSize, len);
-  buf.resize(len);
-  return buf;
+  std::memmove(sealed.data(), sealed.data() + kLengthSize, len);
+  sealed.resize(len);
+  return sealed;
 }
 
 ChannelTransport::ChannelTransport(sim::Link* link, const sim::CostModel* costs,

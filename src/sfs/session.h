@@ -47,18 +47,25 @@ class ChannelCipher {
  public:
   explicit ChannelCipher(const util::Bytes& session_key);
 
+  // Bytes Seal produces for a `len`-byte message: length word, message,
+  // zero pad to the XDR unit, MAC.  Always a whole number of XDR units.
+  static size_t SealedSize(size_t len);
+
   // Seals one message: draws the per-message MAC key, MACs length +
-  // plaintext, encrypts everything.
+  // plaintext, encrypts everything.  The pointer form writes
+  // SealedSize(len) bytes to `out`, which must not overlap `plaintext`.
+  void Seal(const uint8_t* plaintext, size_t len, uint8_t* out);
   util::Bytes Seal(const util::Bytes& plaintext);
 
-  // Opens a sealed message; tampering, truncation, replay, or reordering
-  // breaks the MAC and yields kSecurityError.  A failed Open restores the
-  // stream to its prior position, so the caller may discard the bad
-  // message and open a later (retransmitted) copy of the expected one —
-  // required for loss masking, where a stale reply must not poison the
-  // channel.  Whether a failure is fatal is the caller's policy: the
-  // server still kills the connection on any bad message.
-  util::Result<util::Bytes> Open(const util::Bytes& sealed);
+  // Opens a sealed message, decrypting `sealed` in place; tampering,
+  // truncation, replay, or reordering breaks the MAC and yields
+  // kSecurityError.  A failed Open restores the stream to its prior
+  // position, so the caller may discard the bad message and open a later
+  // (retransmitted) copy of the expected one — required for loss masking,
+  // where a stale reply must not poison the channel.  Whether a failure is
+  // fatal is the caller's policy: the server still kills the connection
+  // on any bad message.
+  util::Result<util::Bytes> Open(util::Bytes sealed);
 
  private:
   crypto::Arc4 stream_;

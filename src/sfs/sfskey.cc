@@ -1,5 +1,7 @@
 #include "src/sfs/sfskey.h"
 
+#include <utility>
+
 #include "src/crypto/blowfish.h"
 #include "src/crypto/srp.h"
 #include "src/sfs/proto.h"
@@ -37,7 +39,7 @@ util::Result<crypto::RabinPrivateKey> DecryptPrivateKey(const util::Bytes& blob,
   }
   ASSIGN_OR_RETURN(util::Bytes sealed, dec.GetOpaque());
   ChannelCipher open(SealKeyFor(password, salt, cost));
-  auto plain = open.Open(sealed);
+  auto plain = open.Open(std::move(sealed));
   if (!plain.ok()) {
     return util::SecurityError("wrong password (private key MAC mismatch)");
   }
@@ -86,7 +88,7 @@ util::Result<SfsKeyFetch> SrpFetchKey(sim::Clock* clock, SfsServer* server,
   RETURN_IF_ERROR(srp.VerifyServerProof(m2));
 
   ChannelCipher open(srp.SessionKey());
-  ASSIGN_OR_RETURN(util::Bytes secret, open.Open(sealed));
+  ASSIGN_OR_RETURN(util::Bytes secret, open.Open(std::move(sealed)));
   xdr::Decoder sec(secret);
   SfsKeyFetch out;
   ASSIGN_OR_RETURN(out.self_certifying_path, sec.GetString());

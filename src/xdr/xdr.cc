@@ -1,11 +1,6 @@
 #include "src/xdr/xdr.h"
 
 namespace xdr {
-namespace {
-// Opaque items longer than this are rejected as malformed (our largest
-// legitimate payloads are NFS READ/WRITE buffers well under this).
-constexpr uint32_t kMaxOpaque = 1u << 26;  // 64 MiB
-}  // namespace
 
 util::Result<uint32_t> PeekUint32(const util::Bytes& data, size_t offset) {
   if (offset + 4 > data.size()) {

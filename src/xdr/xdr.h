@@ -17,6 +17,10 @@
 
 namespace xdr {
 
+// Opaque items longer than this are rejected as malformed (our largest
+// legitimate payloads are NFS READ/WRITE buffers well under this).
+inline constexpr uint32_t kMaxOpaque = 1u << 26;  // 64 MiB
+
 // Bytes an opaque item of `len` bytes occupies once zero-padded to XDR's
 // 4-byte unit.
 constexpr size_t PaddedSize(size_t len) { return (len + 3) & ~size_t{3}; }
@@ -24,6 +28,14 @@ constexpr size_t PaddedSize(size_t len) { return (len + 3) & ~size_t{3}; }
 // Reads the uint32 at byte `offset` without decoding or copying the rest:
 // lets a framing layer look at one header word (a wire seqno) first.
 util::Result<uint32_t> PeekUint32(const util::Bytes& data, size_t offset);
+
+// Writes `value` big-endian to out[0..4): PeekUint32's inverse, for a
+// framing layer that fills its header words in place.
+inline void PokeUint32(uint8_t* out, uint32_t value) {
+  for (int k = 0; k < 4; ++k) {
+    out[k] = static_cast<uint8_t>(value >> (24 - 8 * k));
+  }
+}
 
 class Encoder {
  public:

@@ -1,6 +1,10 @@
 // Unit tests for the crypto substrate: SHA-1, HMAC, ARC4, PRNG, base32.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "src/crypto/arc4.h"
@@ -84,6 +88,67 @@ TEST(Sha1Test, PaddingBoundaries) {
     EXPECT_EQ(digest, Sha1Digest(std::string(len, 'x')));
     digests.push_back(digest);
   }
+}
+
+// --- The block-compression kernels --------------------------------------------
+
+TEST(Sha1KernelTest, ShaNiMatchesPortable) {
+  const crypto::sha1_detail::CompressFn sha_ni = crypto::sha1_detail::ShaNiKernel();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "no SHA-NI kernel in this build or on this CPU: "
+                    "only the portable kernel is tested";
+  }
+  // Random states and random blocks (bytes above 0x7f included), read one
+  // byte past an aligned start so every 16-byte load is unaligned.  The
+  // states are chained across calls and compared after every call.
+  Prng prng(uint64_t{17});
+  for (int trial = 0; trial < 64; ++trial) {
+    uint32_t portable[5];
+    for (uint32_t& word : portable) {
+      word = static_cast<uint32_t>(prng.RandomUint64(uint64_t{1} << 32));
+    }
+    uint32_t fast[5];
+    std::memcpy(fast, portable, sizeof(fast));
+    for (int call = 0; call < 4; ++call) {
+      const size_t blocks = 1 + prng.RandomUint64(17);
+      const Bytes data = prng.RandomBytes(1 + blocks * crypto::kSha1BlockSize);
+      crypto::sha1_detail::CompressPortable(portable, data.data() + 1, blocks);
+      sha_ni(fast, data.data() + 1, blocks);
+      for (int k = 0; k < 5; ++k) {
+        ASSERT_EQ(fast[k], portable[k])
+            << "trial " << trial << ", call " << call << " (" << blocks << " blocks), word " << k;
+      }
+    }
+  }
+}
+
+TEST(Sha1KernelTest, DispatchFollowsTheCpu) {
+  // The kernel name is checked against the kernel's own view of the CPU
+  // flags, read independently of its CPUID path, so a kernel that is
+  // compiled out or never chosen fails here instead of going unnoticed.
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads the CPU flags from /proc/cpuinfo";
+#else
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  ASSERT_TRUE(cpuinfo.is_open());
+  bool sha_ni = false;
+  bool sse41 = false;
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("flags", 0) != 0) {
+      continue;  // Only x86 kernels print a "flags" line.
+    }
+    std::istringstream words(line);
+    for (std::string word; words >> word;) {
+      sha_ni = sha_ni || word == "sha_ni";
+      sse41 = sse41 || word == "sse4_1";
+    }
+    break;
+  }
+  const bool expect_sha_ni = sha_ni && sse41;
+  EXPECT_EQ(std::string(crypto::sha1_detail::KernelName()),
+            expect_sha_ni ? "sha-ni" : "portable");
+  EXPECT_EQ(crypto::sha1_detail::ShaNiKernel() != nullptr, expect_sha_ni);
+#endif
 }
 
 TEST(HmacSha1Test, Rfc2202Vector1) {

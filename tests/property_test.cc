@@ -297,7 +297,49 @@ void Shuffle(std::vector<T>* v, crypto::Prng* prng) {
   }
 }
 
+// Random truncation and byte flips rarely land on a length word, so half
+// the mutations are one structured edit aimed at a check of the channel
+// frame {type, payload length, seqno, body length, body, pad}: one of the
+// four header words set to a boundary value, a length word shortened by
+// 1-3 bytes so that the frame's tail turns into pad and the last byte of
+// it nonzero, 1-7 bytes appended, or the frame cut to a consistent 8 or
+// 12 bytes whose payload ends before the body length word.
 Bytes Mutate(Bytes frame, crypto::Prng* prng) {
+  auto put_word = [&frame](size_t offset, uint32_t value) {
+    for (size_t k = 0; k < 4; ++k) {
+      frame[offset + k] = static_cast<uint8_t>(value >> (24 - 8 * k));
+    }
+  };
+  if (prng->RandomUint64(2) == 0 && frame.size() >= 16) {
+    switch (prng->RandomUint64(4)) {
+      case 0: {
+        const size_t offset = 4 * prng->RandomUint64(4);
+        const uint32_t word = xdr::PeekUint32(frame, offset).value();
+        const uint32_t boundary[] = {word + 1, word - 1, word + 4, word - 4,
+                                     0,        0xffffffff, (1u << 26) + 1};
+        put_word(offset, boundary[prng->RandomUint64(7)]);
+        break;
+      }
+      case 1: {
+        const size_t offset = prng->RandomUint64(2) == 0 ? 4 : 12;
+        const uint32_t word = xdr::PeekUint32(frame, offset).value();
+        put_word(offset, word - static_cast<uint32_t>(1 + prng->RandomUint64(3)));
+        frame.back() = static_cast<uint8_t>(1 + prng->RandomUint64(255));
+        break;
+      }
+      case 2:
+        frame.resize(frame.size() + 1 + prng->RandomUint64(7),
+                     static_cast<uint8_t>(prng->RandomUint64(256)));
+        break;
+      default: {
+        const uint32_t payload_len = static_cast<uint32_t>(prng->RandomUint64(5));
+        frame.resize(8 + xdr::PaddedSize(payload_len));
+        put_word(4, payload_len);
+        break;
+      }
+    }
+    return frame;
+  }
   if (prng->RandomUint64(2) == 0 && !frame.empty()) {
     frame.resize(prng->RandomUint64(frame.size()));
   }
@@ -320,6 +362,8 @@ class CallStream {
   virtual ~CallStream() = default;
   virtual Bytes Frame(uint32_t seqno, const Bytes& payload) = 0;
   virtual util::Result<Bytes> Deliver(const Bytes& frame) = 0;
+  // Replaces a connection that a bad frame killed; plain RPC has none.
+  virtual util::Status Reconnect() = 0;
 
   // The seqno of every handler execution, in execution order.
   std::vector<uint32_t> Executed() const {
@@ -356,6 +400,7 @@ class PlainStream : public CallStream {
     return enc.Take();
   }
   util::Result<Bytes> Deliver(const Bytes& frame) override { return dispatcher_.Handle(frame); }
+  util::Status Reconnect() override { return util::OkStatus(); }
 
  private:
   static constexpr uint32_t kProg = 77;
@@ -374,8 +419,17 @@ class ChannelStream : public CallStream {
     options.key_bits = kKeyBits;
     options.registry = &registry_;
     server_ = std::make_unique<sfs::SfsServer>(&clock_, &costs_, options, nullptr);
-    connection_ = std::move(server_->CreateConnection().connection);
+    ASSIGN_OR_RETURN(sfs::ClientNegotiation negotiation,
+                     sfs::ClientNegotiation::Start(server_->public_key(), prng, kKeyBits));
+    negotiation_ = std::make_unique<sfs::ClientNegotiation>(std::move(negotiation));
+    return Reconnect();
+  }
 
+  // A fresh connection to the same server under the same ephemeral key,
+  // so without key generation: new session keys, an empty duplicate cache
+  // and a receive cursor at seqno 1.
+  util::Status Reconnect() override {
+    connection_ = std::move(server_->CreateConnection().connection);
     xdr::Encoder hello;
     hello.PutUint32(static_cast<uint32_t>(sfs::ServiceType::kFileServer));
     hello.PutString(server_->Path().location);
@@ -383,8 +437,7 @@ class ChannelStream : public CallStream {
     hello.PutString("");
     RETURN_IF_ERROR(
         connection_->Handle(sfs::FrameMessage(sfs::kMsgConnect, hello.Take())).status());
-    ASSIGN_OR_RETURN(sfs::ClientNegotiation negotiation,
-                     sfs::ClientNegotiation::Start(server_->public_key(), prng, kKeyBits));
+    const sfs::ClientNegotiation& negotiation = *negotiation_;
     xdr::Encoder neg;
     neg.PutOpaque(negotiation.ephemeral_key.public_key().Serialize());
     neg.PutOpaque(negotiation.enc_kc1);
@@ -421,6 +474,7 @@ class ChannelStream : public CallStream {
 
  private:
   std::unique_ptr<sfs::SfsServer> server_;
+  std::unique_ptr<sfs::ClientNegotiation> negotiation_;
   std::unique_ptr<sim::Service> connection_;
   std::unique_ptr<sfs::ChannelCipher> seal_;  // Client -> server.
 };
@@ -508,14 +562,18 @@ TEST_P(PipelinedFramingFuzzTest, ReorderedAndCorruptCallStreamsKeepAtMostOnce) {
   }
   EXPECT_EQ(stream->Executed().size(), kBatch) << "redelivery re-executed a call";
 
-  // Corruption sweep: truncated/flipped frames must decode cleanly or
-  // fail cleanly — never crash the server (the channel dies at the first
-  // frame that reaches its cipher and fails to open).  The replies it
+  // Corruption sweep: mutated frames must decode cleanly or fail cleanly
+  // — never crash the server.  The channel kills its connection at the
+  // first frame it rejects; the replacement has an empty duplicate cache,
+  // so every later frame reaches the frame parser.  The replies it
   // produced get the same treatment through the client's reply-decode
   // sequence.
   for (int trial = 0; trial < 200; ++trial) {
     Bytes call = Mutate(frames[prng.RandomUint64(kBatch)], &prng);
-    (void)stream->Deliver(call);
+    if (!stream->Deliver(call).ok()) {
+      const util::Status reconnected = stream->Reconnect();
+      ASSERT_TRUE(reconnected.ok()) << reconnected.ToString();
+    }
 
     xdr::Decoder dec(Mutate(replies[prng.RandomUint64(kBatch)], &prng));
     auto xid = dec.GetUint32();
@@ -571,6 +629,12 @@ INSTANTIATE_TEST_SUITE_P(
 // The client sees reply frames out of order and corrupted; decoding may
 // not crash or open a tampered frame.
 class PipelinedReplyFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Never reached: the reply sweep hands frames to the client directly.
+class UnreachableService : public sim::Service {
+ public:
+  util::Result<Bytes> Handle(const Bytes&) override { return util::Unavailable("unused"); }
+};
 
 TEST_P(PipelinedReplyFuzzTest, ReorderedAndCorruptReplyStreamsDecodeOrFailCleanly) {
   crypto::Prng prng(GetParam());
@@ -653,24 +717,42 @@ TEST_P(PipelinedReplyFuzzTest, ReorderedAndCorruptReplyStreamsDecodeOrFailCleanl
   // Corruption sweep on the first frame (the only one a fresh receiver's
   // keystream position can open): every stage either rejects cleanly or,
   // if the sealed body survived intact, opens to exactly the original
-  // message.  Tampered bodies must never open.
+  // message.  Tampered bodies must never open.  The client's own
+  // ChannelTransport, with seqno 1 outstanding, must release a reply for
+  // exactly the frames that the decode above accepts.
+  sim::Clock clock;
+  sim::CostModel costs;
+  obs::Registry registry;
+  UnreachableService service;
+  sim::Link link(&clock, sim::LinkProfile::Tcp(), &service, &registry);
   for (int trial = 0; trial < 200; ++trial) {
     Bytes mutated = Mutate(wire_frames[0], &prng);
+    sfs::ChannelTransport client(&link, &costs, &registry,
+                                 std::make_unique<sfs::ChannelCipher>(Bytes(20, 0)),
+                                 std::make_unique<sfs::ChannelCipher>(key));
+    client.Frame(1, BytesOf("call"));
+    std::vector<util::Result<Bytes>> released =
+        client.Unframe(mutated, [](uint32_t) { return obs::SpanContext{}; });
+    ASSERT_EQ(released.size(), 1u);
+
     uint32_t seqno = 0;
     Bytes sealed;
-    if (!decode(mutated, &seqno, &sealed)) {
-      continue;  // Malformed framing: discarded, counted as unmatched.
+    util::Result<Bytes> open = util::Unavailable("discarded");
+    // Malformed framing, or no outstanding call for this seqno: discarded,
+    // counted as unmatched.
+    if (decode(mutated, &seqno, &sealed) && seqno == 1) {
+      sfs::ChannelCipher receiver(key);
+      open = receiver.Open(sealed);
     }
-    if (seqno != 1) {
-      continue;  // No outstanding call for this seqno: discarded.
-    }
-    sfs::ChannelCipher receiver(key);
-    auto open = receiver.Open(sealed);
     if (open.ok()) {
       EXPECT_EQ(open.value(), messages[0]) << "tampered frame opened to wrong bytes";
     }
+    ASSERT_EQ(released[0].ok(), open.ok()) << "trial " << trial << ": "
+                                           << released[0].status().ToString();
+    if (released[0].ok()) {
+      EXPECT_EQ(released[0].value(), messages[0]) << "trial " << trial;
+    }
   }
-  SUCCEED();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelinedReplyFuzzTest, ::testing::Values(41, 42, 43, 44));

@@ -2,6 +2,7 @@
 // channel-cipher behavior under sustained use.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -267,6 +268,188 @@ TEST_F(ChannelTransportTest, DiscardsLeaveTheCursorForTheGenuineReply) {
   tampered.back() ^= 0x01;
   EXPECT_EQ(Deliver(tampered), (std::vector<int64_t>{-1}));
   EXPECT_EQ(Deliver(reply), (std::vector<int64_t>{1}));
+}
+
+// --- The sealed frame parser, one check at a time ---------------------------
+
+// One structured edit of a channel frame {type, payload length, seqno,
+// body length, body, pad} and the status each receiver answers it with:
+// ChannelServerCodec::Open for a call frame, ChannelTransport::Unframe
+// for a reply frame, sealed and in the cleartext ablation.  kOk accepts
+// (the server defers a seqno ahead of its cursor with an empty body).
+struct FrameCase {
+  const char* name;
+  std::function<void(Bytes*)> edit;
+  util::ErrorCode sealed_server;
+  util::ErrorCode sealed_client;
+  util::ErrorCode clear_server;
+  util::ErrorCode clear_client;
+};
+
+std::function<void(Bytes*)> SetWord(int word, uint32_t value) {
+  return [=](Bytes* frame) {
+    for (int k = 0; k < 4; ++k) {
+      (*frame)[4 * word + k] = static_cast<uint8_t>(value >> (24 - 8 * k));
+    }
+  };
+}
+
+std::function<void(Bytes*)> AddToWord(int word, int32_t delta) {
+  return [=](Bytes* frame) {
+    const uint32_t value = xdr::PeekUint32(*frame, 4 * word).value();
+    SetWord(word, value + static_cast<uint32_t>(delta))(frame);
+  };
+}
+
+std::function<void(Bytes*)> Then(std::function<void(Bytes*)> first,
+                                 std::function<void(Bytes*)> second) {
+  return [=](Bytes* frame) {
+    first(frame);
+    second(frame);
+  };
+}
+
+std::function<void(Bytes*)> SetLastByte(uint8_t value) {
+  return [=](Bytes* frame) { frame->back() = value; };
+}
+
+std::function<void(Bytes*)> Append(size_t count) {
+  return [=](Bytes* frame) { frame->resize(frame->size() + count, 0); };
+}
+
+std::function<void(Bytes*)> TruncateTo(size_t size) {
+  return [=](Bytes* frame) { frame->resize(size); };
+}
+
+std::function<void(Bytes*)> DropLast(size_t count) {
+  return [=](Bytes* frame) { frame->resize(frame->size() - count); };
+}
+
+TEST(ChannelFrameTest, EveryParserCheckAnswersWithItsStatus) {
+  using util::ErrorCode;
+  constexpr ErrorCode K = ErrorCode::kOk;
+  constexpr ErrorCode I = ErrorCode::kInvalidArgument;
+  constexpr ErrorCode S = ErrorCode::kSecurityError;
+  constexpr ErrorCode U = ErrorCode::kUnavailable;
+  constexpr uint32_t kTooBig = (1u << 26) + 1;  // One past the 64 MiB opaque cap.
+  enum Word { kType, kPayloadLength, kSeqno, kBodyLength };
+  const std::vector<FrameCase> cases = {
+      {"intact", [](Bytes*) {}, K, K, K, K},
+      {"type+1", AddToWord(kType, 1), S, S, S, S},
+      {"type-1", AddToWord(kType, -1), S, S, S, S},
+      {"type+4", AddToWord(kType, 4), S, S, S, S},
+      {"type-4", AddToWord(kType, -4), S, S, S, S},
+      {"type=0", SetWord(kType, 0), S, S, S, S},
+      {"type=~0", SetWord(kType, 0xffffffff), S, S, S, S},
+      {"type=2^26+1", SetWord(kType, kTooBig), S, S, S, S},
+      {"payload+1", AddToWord(kPayloadLength, 1), I, I, I, I},
+      // The last byte turns pad: nonzero sealed bytes, but a zero pad in
+      // the ablation, whose body then comes up a byte short.
+      {"payload-1", AddToWord(kPayloadLength, -1), I, I, S, S},
+      {"payload+4", AddToWord(kPayloadLength, 4), I, I, I, I},
+      {"payload-4", AddToWord(kPayloadLength, -4), S, S, S, S},
+      {"payload=0", SetWord(kPayloadLength, 0), S, S, S, S},
+      {"payload=~0", SetWord(kPayloadLength, 0xffffffff), I, I, I, I},
+      {"payload=2^26+1", SetWord(kPayloadLength, kTooBig), I, I, I, I},
+      {"payload-1, pad 0x80", Then(AddToWord(kPayloadLength, -1), SetLastByte(0x80)), I, I, I,
+       I},
+      {"payload-1, pad 0", Then(AddToWord(kPayloadLength, -1), SetLastByte(0)), S, S, S, S},
+      {"seqno+1", AddToWord(kSeqno, 1), K, U, K, U},
+      {"seqno-1", AddToWord(kSeqno, -1), S, U, S, U},
+      {"seqno+4", AddToWord(kSeqno, 4), K, U, K, U},
+      {"seqno-4", AddToWord(kSeqno, -4), K, U, K, U},
+      {"seqno=0", SetWord(kSeqno, 0), S, U, S, U},
+      {"seqno=~0", SetWord(kSeqno, 0xffffffff), K, U, K, U},
+      {"seqno=2^26+1", SetWord(kSeqno, kTooBig), K, U, K, U},
+      // The ablation's bodies are 1 mod 4 long, so a longer body runs into
+      // their zero pad and is accepted: cleartext has no integrity.
+      {"body+1", AddToWord(kBodyLength, 1), S, S, K, K},
+      {"body-1", AddToWord(kBodyLength, -1), S, S, S, S},
+      {"body+4", AddToWord(kBodyLength, 4), S, S, S, S},
+      {"body-4", AddToWord(kBodyLength, -4), S, S, S, S},
+      {"body=0", SetWord(kBodyLength, 0), S, S, S, S},
+      {"body=~0", SetWord(kBodyLength, 0xffffffff), S, S, S, S},
+      {"body=2^26+1", SetWord(kBodyLength, kTooBig), S, S, S, S},
+      {"body-1, pad 0x80", Then(AddToWord(kBodyLength, -1), SetLastByte(0x80)), S, S, S, S},
+      {"last byte 0x80", SetLastByte(0x80), S, S, S, S},
+      {"append 1", Append(1), S, S, S, S},
+      {"append 4", Append(4), S, S, S, S},
+      {"append 7", Append(7), S, S, S, S},
+      // Consistent frames whose payload ends before the body length word.
+      {"header only", Then(TruncateTo(8), SetWord(kPayloadLength, 0)), S, S, S, S},
+      {"seqno only", Then(TruncateTo(12), SetWord(kPayloadLength, 4)), S, S, S, S},
+      {"truncate to 0", TruncateTo(0), I, I, I, I},
+      {"truncate to 3", TruncateTo(3), I, I, I, I},
+      {"truncate to 4", TruncateTo(4), I, I, I, I},
+      {"truncate to 7", TruncateTo(7), I, I, I, I},
+      {"truncate to 8", TruncateTo(8), I, I, I, I},
+      {"truncate to 15", TruncateTo(15), I, I, I, I},
+      {"drop last 1", DropLast(1), I, I, I, I},
+      {"drop last 4", DropLast(4), I, I, I, I},
+  };
+
+  const Bytes kcs(20, 0x11);
+  const Bytes ksc(20, 0x22);
+  const Bytes call = BytesOf("thirteen byte");     // 1 mod 4: the ablation pads it.
+  const Bytes reply = BytesOf("seventeen bytes!!");
+  ASSERT_EQ(call.size() % 4, 1u);
+  ASSERT_EQ(reply.size() % 4, 1u);
+  for (const bool sealed : {true, false}) {
+    sim::Clock clock;
+    sim::CostModel costs;
+    obs::Registry registry;
+    UnusedService service;
+    sim::Link link(&clock, sim::LinkProfile::Tcp(), &service, &registry);
+    auto cipher = [&](const Bytes& key) {
+      return sealed ? std::make_unique<ChannelCipher>(key) : nullptr;
+    };
+    auto new_server = [&] {
+      return std::make_unique<sfs::ChannelServerCodec>(&clock, &costs, &registry, cipher(ksc),
+                                                       cipher(kcs));
+    };
+    auto new_client = [&] {
+      auto client = std::make_unique<sfs::ChannelTransport>(&link, &costs, &registry,
+                                                            cipher(kcs), cipher(ksc));
+      client->Frame(1, call);  // Seqno 1 is outstanding.
+      return client;
+    };
+    // Frames made by the real senders, at both keystreams' first position.
+    sfs::ChannelTransport sender(&link, &costs, &registry, cipher(kcs), cipher(ksc));
+    const Bytes request = sender.Frame(1, call);
+    auto origin = new_server();
+    auto opened = origin->Open(request);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ASSERT_EQ(opened.value(), call);
+    const Bytes reply_frame = origin->Seal(1, reply);
+    if (sealed) {
+      // "payload-1" reads the sealed frames' last byte as pad.
+      ASSERT_NE(request.back(), 0);
+      ASSERT_NE(reply_frame.back(), 0);
+    }
+
+    for (const FrameCase& c : cases) {
+      const ErrorCode want_server = sealed ? c.sealed_server : c.clear_server;
+      const ErrorCode want_client = sealed ? c.sealed_client : c.clear_client;
+      const std::string where = std::string(sealed ? "sealed" : "cleartext") + ", " + c.name;
+
+      Bytes edited_request = request;
+      c.edit(&edited_request);
+      const util::Status server = new_server()->Open(edited_request).status();
+      EXPECT_EQ(server.code(), want_server) << where << ": server got " << server.ToString();
+
+      Bytes edited_reply = reply_frame;
+      c.edit(&edited_reply);
+      std::vector<util::Result<Bytes>> released =
+          new_client()->Unframe(edited_reply, [](uint32_t) { return obs::SpanContext{}; });
+      ASSERT_EQ(released.size(), 1u) << where;
+      EXPECT_EQ(released[0].status().code(), want_client)
+          << where << ": client got " << released[0].status().ToString();
+      if (std::string(c.name) == "intact") {
+        ASSERT_TRUE(released[0].ok()) << where;
+        EXPECT_EQ(released[0].value(), reply) << where;
+      }
+    }
+  }
 }
 
 TEST(NegotiationTest, WrongSizeServerHalvesRejected) {
