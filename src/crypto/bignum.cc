@@ -249,33 +249,6 @@ BigInt BigInt::FromLimbs(std::vector<uint64_t> limbs) {
   return out;
 }
 
-std::vector<uint32_t> BigInt::Limbs32() const {
-  std::vector<uint32_t> out;
-  out.reserve(limbs_.size() * 2);
-  for (uint64_t limb : limbs_) {
-    out.push_back(static_cast<uint32_t>(limb));
-    out.push_back(static_cast<uint32_t>(limb >> 32));
-  }
-  while (!out.empty() && out.back() == 0) {
-    out.pop_back();
-  }
-  return out;
-}
-
-BigInt BigInt::FromLimbs32(const std::vector<uint32_t>& limbs) {
-  BigInt out;
-  out.limbs_.reserve((limbs.size() + 1) / 2);
-  for (size_t i = 0; i < limbs.size(); i += 2) {
-    uint64_t limb = limbs[i];
-    if (i + 1 < limbs.size()) {
-      limb |= static_cast<uint64_t>(limbs[i + 1]) << 32;
-    }
-    out.limbs_.push_back(limb);
-  }
-  out.Normalize();
-  return out;
-}
-
 int BigInt::CompareMagnitude(const BigInt& a, const BigInt& b) {
   if (a.limbs_.size() != b.limbs_.size()) {
     return a.limbs_.size() < b.limbs_.size() ? -1 : 1;

@@ -9,10 +9,8 @@
 // normalized (no high zero limbs; zero has an empty limb vector and
 // positive sign).  Limb products use `unsigned __int128`, so a 1024-bit
 // operand is 16 limbs instead of the 32 it was at 32-bit width — the
-// schoolbook/CIOS inner loops do a quarter of the word multiplies (see
-// docs/CRYPTO_PERF.md).  A 32-bit *view* of the magnitude (Limbs32 /
-// FromLimbs32) is kept as a shim for the retained 32-bit reference kernel
-// and the differential tests that diff the two limb widths.
+// schoolbook/Montgomery inner loops do a quarter of the word multiplies
+// (see docs/CRYPTO_PERF.md).
 #ifndef SFS_SRC_CRYPTO_BIGNUM_H_
 #define SFS_SRC_CRYPTO_BIGNUM_H_
 
@@ -70,12 +68,6 @@ class BigInt {
   const std::vector<uint64_t>& limbs() const { return limbs_; }
   // Non-negative value from a little-endian limb vector (normalizes).
   static BigInt FromLimbs(std::vector<uint64_t> limbs);
-
-  // 32-bit view shim: the magnitude as little-endian 32-bit limbs, and
-  // its inverse.  Kept for the retained 32-bit reference kernel
-  // (src/crypto/kernel32.h) and the limb-width differential tests.
-  std::vector<uint32_t> Limbs32() const;
-  static BigInt FromLimbs32(const std::vector<uint32_t>& limbs);
 
   // Comparison of signed values: -1, 0, +1.
   int Compare(const BigInt& other) const;

@@ -4,15 +4,23 @@
 //
 // For an odd modulus m of s 64-bit limbs, values are kept as residues
 // x*R mod m with R = 2^(64s).  The Montgomery product of two residues
-// — one CIOS (coarsely integrated operand scanning) pass interleaving
-// word-level multiply and reduce — costs 2s^2 + s single-word multiplies
-// and *no* division, replacing the schoolbook multiply + full Knuth
-// algorithm-D division the textbook path pays per step.  Moving from
-// 32-bit to 64-bit limbs halves s, so the quadratic CIOS pass does a
-// quarter of the word multiplies; each word multiply is an
-// `unsigned __int128` product, which the hardware provides directly.
-// n' = -m^{-1} mod 2^64 comes from Newton–Hensel lifting (inv = x is
-// correct mod 8; five squared-precision iterations reach >= 64 bits).
+// interleaves word-level multiply and reduce: 2s^2 + s single-word
+// multiplies and *no* division, replacing the schoolbook multiply + full
+// Knuth algorithm-D division the textbook path pays per step.  Each word
+// multiply is an `unsigned __int128` product, which the hardware
+// provides directly.  n' = -m^{-1} mod 2^64 comes from Newton–Hensel
+// lifting (inv = x is correct mod 8; five squared-precision iterations
+// reach >= 64 bits).
+//
+// Each context picks its kernel pair once, from the modulus width.  At
+// 4, 8 and 16 limbs — the primes of 512- and 1024-bit Rabin keys and the
+// 1024-bit SRP group — a fully unrolled product-scanning multiply and a
+// dedicated square (each cross product computed once, then doubled) keep
+// the three-word column accumulator in registers.  Every other width
+// runs the runtime-sized CIOS (coarsely integrated operand scanning)
+// pass, which is also the oracle the fixed pairs are tested against.
+// Both produce the exact product in [0, m), so the choice moves host
+// time only.
 //
 // Exponentiation uses a fixed 4-bit sliding window over a table of the
 // eight odd powers base^1, base^3, ..., base^15, cutting the number of
@@ -37,6 +45,10 @@
 #include "src/crypto/bignum.h"
 
 namespace crypto {
+
+namespace montgomery_detail {
+struct Kernel;
+}  // namespace montgomery_detail
 
 // The precompiled window walk of one exponent: a replay list of
 // "square k times, then (optionally) multiply by odd power base^(2t+1)"
@@ -117,18 +129,66 @@ class MontgomeryCtx {
   BigInt ModSquare(const BigInt& a) const;
 
  private:
-  // One CIOS pass: out = a*b*R^{-1} mod m.  `a`, `b`, `out` are
-  // limbs()-word arrays; `t` is scratch of limbs()+2 words.  `out` may
-  // alias `a` or `b` (the accumulator is `t`).
-  void Cios(const uint64_t* a, const uint64_t* b, uint64_t* out, uint64_t* t) const;
+  // out = a*b*R^{-1} mod m and out = a*a*R^{-1} mod m through this
+  // context's kernel pair.  `a`, `b`, `out` are limbs()-word arrays;
+  // `t` is scratch of limbs()+2 words.  `out` may alias `a` or `b`.
+  void MulInto(const uint64_t* a, const uint64_t* b, uint64_t* out, uint64_t* t) const;
+  void SquareInto(const uint64_t* a, uint64_t* out, uint64_t* t) const;
 
   BigInt m_;                    // The modulus.
   std::vector<uint64_t> n_;     // Its limbs (size s, top limb nonzero).
   uint64_t n0inv_ = 0;          // -m^{-1} mod 2^64.
   Residue r1_;                  // R mod m.
   Residue r2_;                  // R^2 mod m (the ToMont multiplier).
+  const montgomery_detail::Kernel* kernel_ = nullptr;  // Chosen by width.
 };
 
+// The kernels behind MontgomeryCtx, exposed for the differential test and
+// bench/crypto_prims; everything else multiplies through a context.
+namespace montgomery_detail {
+
+// -x^{-1} mod 2^64 for odd x: the n0inv of a modulus whose low limb is x.
+uint64_t NegInverse(uint64_t x);
+
+// An odd modulus m as the kernels take it.
+struct Modulus {
+  const uint64_t* n;  // m's limbs, little-endian, top limb nonzero.
+  size_t s;           // Their count.
+  uint64_t n0inv;     // NegInverse(n[0]).
+};
+
+// out = a*b*R^{-1} mod m for residues a, b < m of m.s limbs.  `t` is
+// scratch of m.s+2 words.  The result is exact, in [0, m), and `out` may
+// alias `a` or `b`.
+using MulFn = void (*)(const uint64_t* a, const uint64_t* b, const Modulus& m,
+                       uint64_t* out, uint64_t* t);
+// out = a*a*R^{-1} mod m, under MulFn's contract.
+using SquareFn = void (*)(const uint64_t* a, const Modulus& m, uint64_t* out, uint64_t* t);
+
+// A product kernel and its squaring kernel.
+struct Kernel {
+  const char* name;  // "generic" or "fixed".
+  MulFn mul;
+  SquareFn square;
+};
+
+// The runtime-sized CIOS pass (its square is the product with itself):
+// the kernel of every width without a fixed pair, and the oracle the
+// fixed pairs are tested against.
+extern const Kernel kGeneric;
+
+// The fully unrolled product-scanning pair for moduli of `limbs` limbs
+// (4, 8 or 16), or null for any other width.  Its kernels ignore `t`.
+const Kernel* FixedKernel(size_t limbs);
+
+// The pair a context of `limbs` limbs runs: FixedKernel(limbs) where
+// there is one, else kGeneric.
+const Kernel& KernelFor(size_t limbs);
+
+// KernelFor(limbs).name.
+const char* KernelName(size_t limbs);
+
+}  // namespace montgomery_detail
 }  // namespace crypto
 
 #endif  // SFS_SRC_CRYPTO_MONTGOMERY_H_

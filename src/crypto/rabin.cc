@@ -297,6 +297,10 @@ util::Result<RabinPrivateKey> RabinPrivateKey::Deserialize(const util::Bytes& by
   if ((p.Low64() & 7) != 3 || (q.Low64() & 7) != 7) {
     return util::InvalidArgument("private key primes have wrong residues");
   }
+  // The constructor needs q invertible mod p for CRT.
+  if (BigInt::Gcd(p, q) != BigInt(1)) {
+    return util::InvalidArgument("private key primes share a factor");
+  }
   return RabinPrivateKey(std::move(p), std::move(q));
 }
 

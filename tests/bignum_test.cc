@@ -333,24 +333,8 @@ TEST(BigIntTest, HexRoundTrip) {
 
 // --- 64-bit limb kernel -------------------------------------------------
 //
-// The kernel stores uint64 limbs but keeps the 32-bit view shim for the
-// frozen ref32 differential oracle; these tests pin the shim, the wide
-// decimal chunks, and ModU64 against independently computed answers.
-
-TEST(BigIntTest, Limbs32ViewRoundTrips) {
-  crypto::Prng prng(uint64_t{8801});
-  for (size_t bits : {1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1024}) {
-    BigInt x = BigInt::Random(&prng, bits);
-    EXPECT_EQ(BigInt::FromLimbs32(x.Limbs32()), x) << "bits=" << bits;
-  }
-  EXPECT_TRUE(BigInt::FromLimbs32(BigInt(0).Limbs32()).is_zero());
-  // The 32-bit view splits each 64-bit limb little-endian.
-  BigInt v(uint64_t{0x0123456789abcdefULL});
-  auto limbs32 = v.Limbs32();
-  ASSERT_EQ(limbs32.size(), 2u);
-  EXPECT_EQ(limbs32[0], 0x89abcdefu);
-  EXPECT_EQ(limbs32[1], 0x01234567u);
-}
+// The wide decimal chunks and ModU64, pinned against independently
+// computed answers.
 
 TEST(BigIntTest, ModU64MatchesDivMod) {
   crypto::Prng prng(uint64_t{8802});

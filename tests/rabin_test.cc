@@ -182,6 +182,9 @@ TEST(RabinTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(RabinPublicKey::Deserialize({1, 2, 3}).ok());
   EXPECT_FALSE(RabinPrivateKey::Deserialize({0, 0, 0}).ok());
   EXPECT_FALSE(RabinPrivateKey::Deserialize({0, 0, 0, 200, 1}).ok());
+  // p = 3 and q = 15 have the right residues mod 8 but share the factor
+  // 3, so q has no inverse mod p.
+  EXPECT_FALSE(RabinPrivateKey::Deserialize({0, 0, 0, 1, 3, 0, 0, 0, 1, 15}).ok());
 }
 
 }  // namespace

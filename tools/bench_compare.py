@@ -17,6 +17,16 @@ threshold (default 10%), making it usable as a CI gate:
 
 Runs present in only one file are reported but never fail the gate
 (benchmarks are added and retired across commits).
+
+Host-time rows drift with the machine's speed.  `--reference NAME`
+divides every row's real time by the NAME row of the same file before
+the threshold test, so each row is measured in units of a fixed kernel
+that slows down with it (bench/crypto_prims.cc's BM_ReferenceUnit):
+
+    bench_compare.py compare --reference BM_ReferenceUnit old.json new.json
+
+Both files must carry the NAME row.  Virtual-time rows need no
+reference.
 """
 
 import argparse
@@ -146,6 +156,18 @@ def cmd_compare(args):
 
     base_runs = {r["name"]: r for r in base["runs"]}
     cand_runs = {r["name"]: r for r in cand["runs"]}
+    base_unit = cand_unit = 1.0
+    if args.reference is not None:
+        units = []
+        for path, runs in ((args.baseline, base_runs), (args.candidate, cand_runs)):
+            ref = runs.get(args.reference)
+            if ref is None or ref["error"] or ref["real_time_s"] <= 0:
+                print(f"error: {path}: no usable reference row {args.reference!r}")
+                return 2
+            units.append(ref["real_time_s"])
+        base_unit, cand_unit = units
+        print(f"times in units of {args.reference}: baseline {base_unit:.6g} s, "
+              f"candidate {cand_unit:.6g} s")
     regressions = []
     width = max((len(n) for n in base_runs.keys() | cand_runs.keys()), default=4)
 
@@ -153,24 +175,25 @@ def cmd_compare(args):
     for name in sorted(base_runs.keys() | cand_runs.keys()):
         b, c = base_runs.get(name), cand_runs.get(name)
         if b is None:
-            print(f"{name:<{width}}  {'-':>12}  {c['real_time_s']:>12.6g}  (new)")
+            print(f"{name:<{width}}  {'-':>12}  {c['real_time_s'] / cand_unit:>12.6g}  (new)")
             continue
         if c is None:
-            print(f"{name:<{width}}  {b['real_time_s']:>12.6g}  {'-':>12}  (removed)")
+            print(f"{name:<{width}}  {b['real_time_s'] / base_unit:>12.6g}  {'-':>12}  (removed)")
             continue
         if b["error"] or c["error"]:
             print(f"{name:<{width}}  {'-':>12}  {'-':>12}  (errored)")
             continue
-        if b["real_time_s"] == 0:
-            delta_str = "n/a" if c["real_time_s"] == 0 else "+inf"
-            regressed = c["real_time_s"] > 0
+        b_time = b["real_time_s"] / base_unit
+        c_time = c["real_time_s"] / cand_unit
+        if b_time == 0:
+            delta_str = "n/a" if c_time == 0 else "+inf"
+            regressed = c_time > 0
         else:
-            ratio = c["real_time_s"] / b["real_time_s"] - 1.0
+            ratio = c_time / b_time - 1.0
             delta_str = f"{ratio:+.1%}"
             regressed = ratio > args.threshold
         flag = "  REGRESSION" if regressed else ""
-        print(f"{name:<{width}}  {b['real_time_s']:>12.6g}  "
-              f"{c['real_time_s']:>12.6g}  {delta_str}{flag}")
+        print(f"{name:<{width}}  {b_time:>12.6g}  {c_time:>12.6g}  {delta_str}{flag}")
         if regressed:
             regressions.append(name)
 
@@ -194,6 +217,9 @@ def main(argv):
     p_compare = sub.add_parser("compare", help="diff two result files")
     p_compare.add_argument("--threshold", type=float, default=0.10,
                            help="max allowed real-time regression (default 0.10)")
+    p_compare.add_argument("--reference", metavar="NAME",
+                           help="divide each row's real time by this row's, "
+                                "in each file, before comparing")
     p_compare.add_argument("baseline")
     p_compare.add_argument("candidate")
     p_compare.set_defaults(func=cmd_compare)
