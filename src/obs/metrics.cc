@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
@@ -38,10 +39,12 @@ const char* TimeCategoryName(TimeCategory category) {
 }
 
 void Histogram::Record(uint64_t value_ns) {
-  size_t i = 0;
-  while (i + 1 < kNumBuckets && value_ns > BucketBoundNs(i)) {
-    ++i;
-  }
+  // The smallest i with value_ns <= 1000 << i is the bit width of
+  // (value_ns - 1) / 1000; the last bucket takes everything above.
+  const size_t i =
+      value_ns <= 1000
+          ? 0
+          : std::min<size_t>(std::bit_width((value_ns - 1) / 1000), kNumBuckets - 1);
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_ns_.fetch_add(value_ns, std::memory_order_relaxed);
@@ -127,6 +130,10 @@ HistogramSnapshot HistogramSnapshot::Delta(
 
 Counter* Registry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
+  return CounterLocked(name);
+}
+
+Counter* Registry::CounterLocked(const std::string& name) {
   auto& slot = counters_[name];
   if (slot == nullptr) {
     slot = std::make_unique<Counter>();
@@ -145,11 +152,34 @@ Gauge* Registry::GetGauge(const std::string& name) {
 
 Histogram* Registry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
+  return HistogramLocked(name);
+}
+
+Histogram* Registry::HistogramLocked(const std::string& name) {
   auto& slot = histograms_[name];
   if (slot == nullptr) {
     slot = std::make_unique<Histogram>();
   }
   return slot.get();
+}
+
+ProcMetrics* Registry::GetProcMetrics(const std::string& base) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = proc_families_.try_emplace(base);
+  ProcMetrics& m = it->second;
+  if (inserted) {
+    m.calls = CounterLocked(base + ".calls");
+    m.errors = CounterLocked(base + ".errors");
+    m.retransmits = CounterLocked(base + ".retransmits");
+    m.bytes_sent = CounterLocked(base + ".bytes_sent");
+    m.bytes_received = CounterLocked(base + ".bytes_received");
+    m.latency = HistogramLocked(base + ".latency_ns");
+    for (size_t i = 0; i < kTimeCategoryCount; ++i) {
+      m.time[i] = CounterLocked(base + ".time." +
+                                TimeCategoryName(static_cast<TimeCategory>(i)) + "_ns");
+    }
+  }
+  return &m;
 }
 
 uint64_t Registry::CounterValue(const std::string& name) const {
@@ -317,23 +347,14 @@ void ProcMetricsTable::Init(Registry* registry, std::string prefix) {
 }
 
 ProcMetrics* ProcMetricsTable::Get(uint32_t proc, const std::string& proc_name) {
-  auto it = procs_.find(proc);
-  if (it != procs_.end()) {
-    return &it->second;
+  for (const auto& [known, metrics] : procs_) {
+    if (known == proc) {
+      return metrics;
+    }
   }
-  std::string base = prefix_ + "." + proc_name;
-  ProcMetrics m;
-  m.calls = registry_->GetCounter(base + ".calls");
-  m.errors = registry_->GetCounter(base + ".errors");
-  m.retransmits = registry_->GetCounter(base + ".retransmits");
-  m.bytes_sent = registry_->GetCounter(base + ".bytes_sent");
-  m.bytes_received = registry_->GetCounter(base + ".bytes_received");
-  m.latency = registry_->GetHistogram(base + ".latency_ns");
-  for (size_t i = 0; i < kTimeCategoryCount; ++i) {
-    m.time[i] = registry_->GetCounter(
-        base + ".time." + TimeCategoryName(static_cast<TimeCategory>(i)) + "_ns");
-  }
-  return &procs_.emplace(proc, m).first->second;
+  ProcMetrics* metrics = registry_->GetProcMetrics(prefix_ + "." + proc_name);
+  procs_.emplace_back(proc, metrics);
+  return metrics;
 }
 
 }  // namespace obs

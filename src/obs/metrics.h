@@ -21,6 +21,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/obs/trace.h"
 
@@ -148,6 +150,19 @@ class Histogram {
   std::atomic<uint64_t> sum_ns_{0};
 };
 
+// Per-procedure metric family ("<prefix>.<PROC>.*"): call/error/byte
+// counters, a latency histogram, and per-category time counters sliced
+// out of the clock's accounting across the call.
+struct ProcMetrics {
+  Counter* calls = nullptr;
+  Counter* errors = nullptr;
+  Counter* retransmits = nullptr;
+  Counter* bytes_sent = nullptr;
+  Counter* bytes_received = nullptr;
+  Histogram* latency = nullptr;
+  Counter* time[kTimeCategoryCount] = {};
+};
+
 // Named metrics for one process (or one testbed).  Also owns the Tracer
 // through which the RPC layers publish structured trace events — one
 // handle threads the whole observability subsystem through a stack.
@@ -165,6 +180,10 @@ class Registry {
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
+  // The procedure family named `base` ("rpc.client.NFS3.READ"): its 14
+  // metrics are created on the first request and the same family is
+  // returned to every later one.
+  ProcMetrics* GetProcMetrics(const std::string& base);
 
   // Read-side lookups; 0 / nullptr when the metric was never created.
   uint64_t CounterValue(const std::string& name) const;
@@ -190,30 +209,23 @@ class Registry {
   static Registry* Default();
 
  private:
+  Counter* CounterLocked(const std::string& name);
+  Histogram* HistogramLocked(const std::string& name);
+
   mutable std::mutex mu_;  // Guards the maps, not the metric values.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, ProcMetrics> proc_families_;  // By family base name.
   Tracer tracer_;
   std::unique_ptr<SpanCollector> spans_;
 };
 
-// Per-procedure client-side metric family: call/error/byte counters, a
-// latency histogram, and per-category time counters sliced out of the
-// clock's accounting across the call.
-struct ProcMetrics {
-  Counter* calls = nullptr;
-  Counter* errors = nullptr;
-  Counter* retransmits = nullptr;
-  Counter* bytes_sent = nullptr;
-  Counter* bytes_received = nullptr;
-  Histogram* latency = nullptr;
-  Counter* time[kTimeCategoryCount] = {};
-};
-
-// Caches ProcMetrics per procedure number under one name prefix
-// (e.g. "rpc.client.NFS3").  Get() allocates only on the first call for
-// a given procedure; steady-state lookups are one map find.
+// Caches one caller's ProcMetrics per procedure number under one name
+// prefix (e.g. "rpc.client.NFS3").  The families themselves belong to the
+// registry, built once however many clients and dispatchers share the
+// prefix: a procedure's first Get here is one registry lookup, later ones
+// a scan of the few procedures this caller has used.
 class ProcMetricsTable {
  public:
   ProcMetricsTable() = default;
@@ -221,14 +233,14 @@ class ProcMetricsTable {
   void Init(Registry* registry, std::string prefix);
   bool initialized() const { return registry_ != nullptr; }
 
-  // `proc_name` is used to build metric names on first sight of `proc`
-  // (the existing proc-name resolvers plug in here).
+  // `proc_name` names the family on first sight of `proc` (the existing
+  // proc-name resolvers plug in here).
   ProcMetrics* Get(uint32_t proc, const std::string& proc_name);
 
  private:
   Registry* registry_ = nullptr;
   std::string prefix_;
-  std::map<uint32_t, ProcMetrics> procs_;
+  std::vector<std::pair<uint32_t, ProcMetrics*>> procs_;
 };
 
 }  // namespace obs

@@ -310,11 +310,7 @@ Client::Client(Transport* transport, uint32_t prog, obs::Registry* registry,
 Client::~Client() {
   // The link and clock outlive the client: disarm the retransmission
   // timers and the delivery sink, which would otherwise touch freed state.
-  for (auto& [xid, call] : pending_) {
-    if (call.timer_id != 0) {
-      clock_->events()->Cancel(call.timer_id);
-    }
-  }
+  clock_->events()->CancelGroup(&timers_);
   link_->set_delivery_sink(nullptr);
   // Calls abandoned in-flight are no longer occupying the window.
   g_in_flight_->Add(-static_cast<int64_t>(pending_.size()));
@@ -517,15 +513,14 @@ void Client::Transmit(PendingCall* call) {
   // bookkeeping (and the server-side dispatch, which executes under the
   // submitter's context) parent under it (Push(0) no-ops).
   spans_->Push(call->span_id);
-  const uint64_t token = link_->Submit(call->wire);
+  link_->Submit(call->wire, /*tag=*/call->xid);
   spans_->Pop(call->span_id);
-  token_to_xid_[token] = call->xid;
   // The timer fires only if nothing completed the call first; the gap it
   // bridges (idle, waiting out a lost message) is kWait.
   const uint32_t xid = call->xid;
   call->timer_id = clock_->events()->Schedule(clock_->now_ns() + call->rto_ns,
                                               obs::TimeCategory::kWait,
-                                              [this, xid] { OnRetransmitTimer(xid); });
+                                              [this, xid] { OnRetransmitTimer(xid); }, &timers_);
 }
 
 void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Callback done) {
@@ -624,16 +619,14 @@ void Client::OnRetransmitTimer(uint32_t xid) {
 }
 
 void Client::OnDelivery(sim::Delivery delivery) {
-  // Attribute service-level verdicts through the submission token (the
-  // response bytes, if any, are not a parseable reply).
-  uint32_t token_xid = 0;
-  if (auto tok = token_to_xid_.find(delivery.token); tok != token_to_xid_.end()) {
-    token_xid = tok->second;
-    token_to_xid_.erase(tok);
-  }
+  // The transmission's tag is its call's xid; it attributes service-level
+  // verdicts (the response bytes, if any, are not a parseable reply) and
+  // names the call in unmatched-reply notes while the call is pending.
+  const auto tag = static_cast<uint32_t>(delivery.tag);
+  const uint32_t tag_xid = pending_.count(tag) != 0 ? tag : 0;
   if (!delivery.status.ok()) {
-    if (pending_.count(token_xid) != 0) {
-      Complete(token_xid, delivery.status);
+    if (tag_xid != 0) {
+      Complete(tag_xid, delivery.status);
     }
     return;
   }
@@ -649,13 +642,13 @@ void Client::OnDelivery(sim::Delivery delivery) {
     if (!reply.ok()) {
       // Discarded unread: the call's timer resends, and the server's DRC
       // replays the intact reply.
-      CountUnmatched(token_xid, wire_bytes, reply.status().message());
+      CountUnmatched(tag_xid, wire_bytes, reply.status().message());
       continue;
     }
     util::Result<util::Bytes> outcome = util::Unavailable("RPC: no reply");
     util::Result<uint32_t> reply_xid = ParseReply(std::move(reply).value(), &outcome);
     if (!reply_xid.ok()) {
-      CountUnmatched(token_xid, wire_bytes, reply_xid.status().message());
+      CountUnmatched(tag_xid, wire_bytes, reply_xid.status().message());
       continue;
     }
     if (pending_.count(reply_xid.value()) == 0) {
@@ -681,11 +674,6 @@ void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
     // The reply beat the retransmission timer; cancel it so it neither
     // fires nor holds the event queue open.
     clock_->events()->Cancel(call.timer_id);
-  }
-  // Retire every submission token still pointing at this call (dropped
-  // copies never produced a delivery to clean themselves up).
-  for (auto tok = token_to_xid_.begin(); tok != token_to_xid_.end();) {
-    tok = tok->second == xid ? token_to_xid_.erase(tok) : std::next(tok);
   }
   if (result.ok()) {
     call.pm->bytes_received->Increment(result.value().size());

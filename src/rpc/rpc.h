@@ -48,6 +48,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
+#include "src/sim/event.h"
 #include "src/sim/network.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
@@ -331,10 +332,12 @@ class Client {
   uint32_t next_xid_ = 1;
   uint32_t window_ = 1;
 
-  // Outstanding pipelined calls by xid, plus the submission-token map
-  // used to attribute service-level error deliveries.
+  // Outstanding pipelined calls by xid.  Each transmission is submitted
+  // with its xid as the link tag, so a service-level error delivery names
+  // its call directly.
   std::map<uint32_t, PendingCall> pending_;
-  std::map<uint64_t, uint32_t> token_to_xid_;
+  // Retransmission timers still armed; cancelled at destruction.
+  sim::EventGroup timers_;
 
   obs::Registry* registry_;
   obs::Tracer* tracer_;

@@ -28,30 +28,97 @@ void EventQueue::PopHeap() {
   heap_.pop_back();
 }
 
-EventQueue::EventId EventQueue::Schedule(uint64_t at_ns, GapAttribution attr,
-                                         std::function<void()> fn) {
-  const EventId id = next_id_++;
+uint32_t EventQueue::AllocateSlot() {
+  if (free_head_ == EventGroup::kNoSlot) {
+    slots_.emplace_back();
+    return static_cast<uint32_t>(slots_.size() - 1);
+  }
+  const uint32_t index = free_head_;
+  free_head_ = slots_[index].next;
+  return index;
+}
+
+void EventQueue::ReleaseSlot(uint32_t index) {
+  Slot& slot = slots_[index];
+  if (++slot.generation == 0) {
+    slot.generation = 1;  // Wrapped: 0 would make kInvalidId reachable.
+  }
+  slot.next = free_head_;
+  free_head_ = index;
+}
+
+void EventQueue::Unlink(uint32_t index) {
+  Slot& slot = slots_[index];
+  if (slot.group == nullptr) {
+    return;
+  }
+  if (slot.prev != EventGroup::kNoSlot) {
+    slots_[slot.prev].next = slot.next;
+  } else {
+    slot.group->head_ = slot.next;
+  }
+  if (slot.next != EventGroup::kNoSlot) {
+    slots_[slot.next].prev = slot.prev;
+  }
+  slot.group = nullptr;
+  slot.prev = EventGroup::kNoSlot;
+  slot.next = EventGroup::kNoSlot;
+}
+
+EventQueue::EventId EventQueue::Schedule(uint64_t at_ns, const GapAttribution& attr, EventFn fn,
+                                         EventGroup* group) {
   at_ns = std::max(at_ns, clock_->now_ns());
-  pending_.emplace(id, Pending{std::move(attr), std::move(fn)});
-  PushHeap(Entry{at_ns, id});
+  const uint32_t index = AllocateSlot();
+  Slot& slot = slots_[index];
+  slot.attr = attr;
+  slot.fn = std::move(fn);
+  slot.live = true;
+  slot.prev = EventGroup::kNoSlot;
+  slot.next = EventGroup::kNoSlot;
+  slot.group = group;
+  if (group != nullptr) {
+    slot.next = group->head_;
+    if (group->head_ != EventGroup::kNoSlot) {
+      slots_[group->head_].prev = index;
+    }
+    group->head_ = index;
+  }
+  PushHeap(Entry{at_ns, next_seq_++, index});
   ++live_;
-  return id;
+  return MakeId(index, slot.generation);
 }
 
 bool EventQueue::Cancel(EventId id) {
-  // The heap entry stays (lazily discarded on pop); only the payload map
-  // decides liveness.
-  if (pending_.erase(id) == 0) {
+  const uint32_t index = static_cast<uint32_t>(id);
+  if (index >= slots_.size()) {
     return false;
   }
+  Slot& slot = slots_[index];
+  if (!slot.live || slot.generation != id >> 32) {
+    return false;
+  }
+  // The heap entry stays (lazily discarded on pop, which frees the slot).
+  slot.live = false;
+  Unlink(index);
   --live_;
   ++cancelled_;
+  // Destroyed outside the pool: a closure's destructor may schedule.
+  EventFn doomed = std::move(slot.fn);
   return true;
 }
 
+void EventQueue::CancelGroup(EventGroup* group) {
+  while (!group->empty()) {
+    const uint32_t index = group->head_;
+    Cancel(MakeId(index, slots_[index].generation));
+  }
+}
+
 uint64_t EventQueue::next_time_ns() {
-  while (!heap_.empty() && pending_.find(heap_.front().id) == pending_.end()) {
-    PopHeap();  // Cancelled: discard without advancing time.
+  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
+    // Cancelled: discard without advancing time.
+    ReleaseSlot(heap_.front().slot);
+    PopHeap();
   }
   return heap_.empty() ? UINT64_MAX : heap_.front().at_ns;
 }
@@ -62,16 +129,16 @@ bool EventQueue::RunOne() {
   }
   const Entry entry = heap_.front();
   PopHeap();
-  auto it = pending_.find(entry.id);
-  Pending pending = std::move(it->second);
-  pending_.erase(it);
+  Slot& slot = slots_[entry.slot];
+  slot.live = false;
+  Unlink(entry.slot);
   --live_;
   ++dispatched_;
 
   const uint64_t now = clock_->now_ns();
   if (entry.at_ns > now) {
     const uint64_t gap = entry.at_ns - now;
-    const GapAttribution& attr = pending.attr;
+    const GapAttribution& attr = slot.attr;
     if (attr.breakdown_total == 0) {
       clock_->Advance(gap, attr.category);
     } else {
@@ -98,7 +165,11 @@ bool EventQueue::RunOne() {
       }
     }
   }
-  pending.fn();
+  // Moved out and the slot freed before running: the closure may
+  // schedule (reusing this very slot) or cancel its own, now stale, id.
+  EventFn fn = std::move(slot.fn);
+  ReleaseSlot(entry.slot);
+  fn();
   return true;
 }
 

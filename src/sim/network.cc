@@ -18,16 +18,13 @@ Host::Host(Clock* clock, Service* service, obs::Registry* registry, Options opti
   g_in_service_ = registry_->GetGauge("server.in_service");
 }
 
-Host::~Host() {
-  for (uint64_t id : outstanding_events_) {
-    clock_->events()->Cancel(id);
-  }
-}
+Host::~Host() { clock_->events()->CancelGroup(&events_); }
 
-void Host::Arrive(util::Bytes request, obs::SpanContext ctx, ResponseFn respond,
-                  std::function<void()> shed, Service* service) {
+void Host::Arrive(util::Bytes request, obs::SpanContext ctx, ResponseFn respond, EventFn shed,
+                  Service* service, std::shared_ptr<const bool> connection_alive) {
   ++arrivals_;
-  Job job{std::move(request), ctx, std::move(respond), clock_->now_ns(), service};
+  Job job{std::move(request), ctx, std::move(respond), clock_->now_ns(), service,
+          std::move(connection_alive)};
   if (in_service_ < options_.concurrency) {
     StartService(std::move(job));
     return;
@@ -91,28 +88,41 @@ void Host::StartService(Job job) {
   for (uint64_t ns : frame.ns) {
     service_ns += ns;
   }
-  auto id_holder = std::make_shared<uint64_t>(0);
-  const uint64_t id = clock_->events()->Schedule(
-      clock_->now_ns() + service_ns, GapAttribution::Proportional(frame),
-      [this, id_holder, respond = std::move(job.respond),
-       result = std::move(result)]() mutable {
-        outstanding_events_.erase(*id_holder);
-        if (respond) {
-          respond(std::move(result));
-        }
-        FinishService();
-      });
-  *id_holder = id;
-  outstanding_events_.insert(id);
+  if (free_running_.empty()) {
+    free_running_.push_back(static_cast<uint32_t>(running_.size()));
+    running_.emplace_back();
+  }
+  const uint32_t index = free_running_.back();
+  free_running_.pop_back();
+  running_[index] = Running{std::move(job.respond), std::move(result),
+                            std::move(job.connection_alive)};
+  clock_->events()->Schedule(clock_->now_ns() + service_ns, GapAttribution::Proportional(frame),
+                             [this, index] { FinishService(index); }, &events_);
 }
 
-void Host::FinishService() {
+void Host::FinishService(uint32_t index) {
+  // Moved out first: the verdict's closure may start another service,
+  // which can grow running_.
+  Running done = std::move(running_[index]);
+  free_running_.push_back(index);
+  if (done.respond && !Orphaned(done.connection_alive)) {
+    done.respond(std::move(done.result));
+  }
   --in_service_;
   g_in_service_->Add(-1);
-  if (!queue_.empty() && in_service_ < options_.concurrency) {
+  StartQueued();
+}
+
+void Host::StartQueued() {
+  while (!queue_.empty() && in_service_ < options_.concurrency) {
     Job job = std::move(queue_.front());
     queue_.pop_front();
     g_queue_len_->Add(-1);
+    if (Orphaned(job.connection_alive)) {
+      // Its connection was torn down while it waited, and the
+      // per-connection service with it: nothing to run, no one to answer.
+      continue;
+    }
     StartService(std::move(job));
   }
 }
@@ -146,21 +156,8 @@ Link::Link(Clock* clock, LinkProfile profile, Host* host, obs::Registry* registr
 }
 
 Link::~Link() {
-  for (uint64_t id : outstanding_events_) {
-    clock_->events()->Cancel(id);
-  }
-}
-
-void Link::ScheduleEvent(uint64_t at_ns, obs::TimeCategory category,
-                         std::function<void()> fn) {
-  auto id_holder = std::make_shared<uint64_t>(0);
-  const uint64_t id = clock_->events()->Schedule(
-      at_ns, category, [this, id_holder, fn = std::move(fn)] {
-        outstanding_events_.erase(*id_holder);
-        fn();
-      });
-  *id_holder = id;
-  outstanding_events_.insert(id);
+  *alive_ = false;
+  clock_->events()->CancelGroup(&events_);
 }
 
 bool Link::SpansEnabled() const { return registry_->spans().enabled(); }
@@ -197,13 +194,15 @@ void Link::ChargeOneWay(size_t bytes, const char* span_name) {
 
 void Link::EraseTransitInfo(uint64_t token) { transit_info_.erase(token); }
 
-uint64_t Link::Submit(const util::Bytes& request) {
+uint64_t Link::Submit(const util::Bytes& request, uint64_t tag) {
   const uint64_t token = next_token_++;
   obs::SpanContext ctx;
   if (SpansEnabled()) {
     ctx = registry_->spans().current();
     transit_info_[token] = TransitInfo{ctx.trace_id, ctx.span_id, clock_->now_ns()};
   }
+  // The one copy on the request path: the caller keeps its bytes for
+  // retransmission, and this copy travels on to the host.
   util::Bytes wire_request = request;
   if (interposer_ != nullptr) {
     auto intercepted = interposer_->OnRequest(std::move(wire_request));
@@ -223,86 +222,86 @@ uint64_t Link::Submit(const util::Bytes& request) {
   // server's admission pipeline — a duplicate is an ordinary arrival
   // that the service must deduplicate, not a free ride.
   const bool duplicate = interposer_ != nullptr && interposer_->DuplicateRequest();
-  ScheduleRequestLeg(token, wire_request, ctx, /*is_duplicate=*/false);
-  if (duplicate) {
-    m_duplicates_->Increment();
-    ScheduleRequestLeg(token, wire_request, ctx, /*is_duplicate=*/true);
+  if (!duplicate) {
+    ScheduleRequestLeg(Leg{token, tag, false}, std::move(wire_request), ctx);
+    return token;
   }
+  ScheduleRequestLeg(Leg{token, tag, false}, wire_request, ctx);
+  m_duplicates_->Increment();
+  ScheduleRequestLeg(Leg{token, tag, true}, std::move(wire_request), ctx);
   return token;
 }
 
-void Link::ScheduleRequestLeg(uint64_t token, const util::Bytes& wire_request,
-                              obs::SpanContext ctx, bool is_duplicate) {
+void Link::ScheduleRequestLeg(Leg leg, util::Bytes wire_request, obs::SpanContext ctx) {
   CountMessage(wire_request.size());
   // Uplink: messages queue for bandwidth but overlap in propagation.
   const uint64_t up_start = std::max(clock_->now_ns(), uplink_free_ns_);
   uplink_free_ns_ = up_start + SerializationNs(wire_request.size());
   const uint64_t arrive_ns = uplink_free_ns_ + profile_.latency_ns + profile_.per_message_ns;
-  ScheduleEvent(
-      arrive_ns, obs::TimeCategory::kLink,
-      [this, token, wire_request, ctx, is_duplicate] {
-        // The respond/shed closures may sit in a shared Host's queue past
-        // this link's lifetime; the weak token disarms them.
-        std::weak_ptr<char> alive = alive_;
-        host_->Arrive(
-            wire_request, ctx,
-            [this, alive, token, is_duplicate](util::Result<util::Bytes> result) {
-              if (alive.expired() || is_duplicate) {
-                // A dead link has no one to carry the reply to; a
-                // duplicate's reply finds no one waiting (the service
-                // deduplicated or re-executed — its choice) and the
-                // network discards it.
-                return;
-              }
-              CompleteResponse(token, std::move(result));
-            },
-            [this, alive, token, is_duplicate] {
-              // Shed at admission: the token is dead (for the original;
-              // a shed duplicate changes nothing for the live original).
-              if (!alive.expired() && !is_duplicate) {
-                EraseTransitInfo(token);
-              }
-            },
-            service_);
-      });
+  auto arrive = [this, leg, request = std::move(wire_request), ctx]() mutable {
+    // The verdict may wait in a shared Host's queue past this link's
+    // lifetime; alive_ disarms it there.
+    host_->Arrive(
+        std::move(request), ctx,
+        [this, leg](util::Result<util::Bytes> result) {
+          if (!leg.is_duplicate) {
+            CompleteResponse(leg, std::move(result));
+          }
+          // A duplicate's reply finds no one waiting (the service
+          // deduplicated or re-executed — its choice) and the network
+          // discards it.
+        },
+        [this, leg] {
+          // Shed at admission: the token is dead (for the original; a
+          // shed duplicate changes nothing for the live original).
+          if (!leg.is_duplicate) {
+            EraseTransitInfo(leg.token);
+          }
+        },
+        service_, alive_);
+  };
+  static_assert(EventFn::kStoredInline<decltype(arrive)>, "arrival event would allocate");
+  clock_->events()->Schedule(arrive_ns, obs::TimeCategory::kLink, std::move(arrive), &events_);
 }
 
-void Link::CompleteResponse(uint64_t token, util::Result<util::Bytes> result) {
+void Link::CompleteResponse(Leg leg, util::Result<util::Bytes> result) {
   if (!result.ok()) {
     // A verdict from the service itself (dead connection, bad message)
     // is delivered like a reply: retrying the same bytes cannot help,
     // and the caller must hear about it.  It takes the full downlink leg
     // — latency, per-message overhead, serialization of its (empty)
     // body — and counts as a wire message, exactly like a success reply.
-    ScheduleResponseLeg(token, result.status(), util::Bytes{});
+    ScheduleResponseLeg(leg, std::move(result));
     return;
   }
-  util::Bytes wire_response = std::move(result).value();
   if (interposer_ != nullptr) {
-    auto intercepted = interposer_->OnResponse(std::move(wire_response));
+    auto intercepted = interposer_->OnResponse(std::move(result).value());
     if (!intercepted.ok()) {
       m_drops_->Increment();
-      EraseTransitInfo(token);
+      EraseTransitInfo(leg.token);
       return;
     }
-    wire_response = std::move(intercepted).value();
+    result = std::move(intercepted).value();
   }
-  ScheduleResponseLeg(token, util::OkStatus(), std::move(wire_response));
+  ScheduleResponseLeg(leg, std::move(result));
 }
 
-void Link::ScheduleResponseLeg(uint64_t token, util::Status status,
-                               util::Bytes response) {
-  CountMessage(response.size());
+void Link::ScheduleResponseLeg(Leg leg, util::Result<util::Bytes> reply) {
+  const size_t bytes = reply.ok() ? reply->size() : 0;
+  CountMessage(bytes);
   const uint64_t down_start = std::max(clock_->now_ns(), downlink_free_ns_);
-  downlink_free_ns_ = down_start + SerializationNs(response.size());
+  downlink_free_ns_ = down_start + SerializationNs(bytes);
   const uint64_t deliver_ns =
       downlink_free_ns_ + profile_.latency_ns + profile_.per_message_ns;
-  ScheduleEvent(
-      deliver_ns, obs::TimeCategory::kLink,
-      [this, token, status = std::move(status),
-       response = std::move(response)]() mutable {
-        Deliver(Delivery{token, std::move(status), std::move(response)});
-      });
+  auto deliver = [this, token = leg.token, tag = leg.tag, reply = std::move(reply)]() mutable {
+    if (reply.ok()) {
+      Deliver(Delivery{token, tag, util::OkStatus(), std::move(reply).value()});
+    } else {
+      Deliver(Delivery{token, tag, reply.status(), util::Bytes{}});
+    }
+  };
+  static_assert(EventFn::kStoredInline<decltype(deliver)>, "delivery event would allocate");
+  clock_->events()->Schedule(deliver_ns, obs::TimeCategory::kLink, std::move(deliver), &events_);
 }
 
 void Link::Deliver(Delivery delivery) {

@@ -34,10 +34,11 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <vector>
 
 #include "src/obs/span.h"
 #include "src/sim/clock.h"
+#include "src/sim/event.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
 
@@ -46,9 +47,11 @@ namespace sim {
 // One reply arriving on a pipelined link (see Link::Submit).
 // `status` carries a service-level verdict (dead connection, malformed
 // message); transit loss produces no Delivery at all — the sender's
-// retransmission timer is the only signal.
+// retransmission timer is the only signal.  `tag` echoes the value the
+// sender passed to Submit with the request this reply answers.
 struct Delivery {
   uint64_t token = 0;
+  uint64_t tag = 0;
   util::Status status = util::OkStatus();
   util::Bytes response;
 };
@@ -190,7 +193,7 @@ class Host {
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
 
-  using ResponseFn = std::function<void(util::Result<util::Bytes>)>;
+  using ResponseFn = InlineFn<void(util::Result<util::Bytes>)>;
 
   // Called at message-arrival-event time.  `respond` fires at the
   // service-completion event with the handler's verdict; `shed` (may be
@@ -201,8 +204,14 @@ class Host {
   // per-connection protocol state (an rpc::Dispatcher's duplicate-
   // request cache is keyed by the connection's seqnos) lives in the
   // service, while the machine's slots and queue stay shared here.
+  // `connection_alive`, when given, is the submitting connection's
+  // liveness flag, cleared when the connection is torn down: a job whose
+  // flag is cleared by its service start is dropped (neither executed,
+  // since its `service` may be gone too, nor answered), and a verdict
+  // whose flag is cleared by its completion is not delivered.
   void Arrive(util::Bytes request, obs::SpanContext ctx, ResponseFn respond,
-              std::function<void()> shed = nullptr, Service* service = nullptr);
+              EventFn shed = nullptr, Service* service = nullptr,
+              std::shared_ptr<const bool> connection_alive = nullptr);
 
   Clock* clock() const { return clock_; }
   Service* service() const { return service_; }
@@ -220,18 +229,37 @@ class Host {
     ResponseFn respond;
     uint64_t arrive_ns = 0;
     Service* service = nullptr;  // Per-connection override; null = host default.
+    std::shared_ptr<const bool> connection_alive;  // Null: no connection to outlive.
+  };
+  // A job between its service start and its completion event.  The
+  // handler's verdict waits here, so the completion event carries only
+  // the index into running_.
+  struct Running {
+    ResponseFn respond;
+    util::Result<util::Bytes> result = util::Bytes{};
+    std::shared_ptr<const bool> connection_alive;
   };
 
+  // True once the connection a job came from has been torn down.
+  static bool Orphaned(const std::shared_ptr<const bool>& connection_alive) {
+    return connection_alive != nullptr && !*connection_alive;
+  }
   void StartService(Job job);
-  void FinishService();
+  // Completion event of running_[index]: answer, free the service slot,
+  // start the next queued job.
+  void FinishService(uint32_t index);
+  // Starts queued jobs while a service slot is free, dropping orphans.
+  void StartQueued();
 
   Clock* clock_;
   Service* service_;
   Options options_;
   std::deque<Job> queue_;
+  std::vector<Running> running_;
+  std::vector<uint32_t> free_running_;  // Indices of idle running_ entries.
   // Completion events still scheduled; cancelled at destruction so a
   // host can die before its clock without dangling dispatches.
-  std::set<uint64_t> outstanding_events_;
+  EventGroup events_;
   uint32_t in_service_ = 0;
   uint64_t arrivals_ = 0;
   uint64_t shed_ = 0;
@@ -265,8 +293,8 @@ class Link {
        obs::Registry* registry = nullptr, Service* service = nullptr);
 
   // The clock must outlive the link: in-flight events it scheduled are
-  // cancelled here, and response closures a shared Host still holds are
-  // disarmed (they hold a weak liveness token, not a bare this).
+  // cancelled here, and the jobs a shared Host still holds for it are
+  // disarmed through its liveness flag.
   ~Link();
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -292,9 +320,12 @@ class Link {
   // only recovery, exactly as with Roundtrip().
   //
   // Returns a token identifying the submission; the matching Delivery
-  // carries it back (callers typically match on message content instead,
-  // since duplicated/reordered replies can arrive under any token).
-  uint64_t Submit(const util::Bytes& request);
+  // carries it back with `tag`, a value of the caller's choosing
+  // (rpc::Client passes the call's xid, so a service-level verdict names
+  // its call whichever transmission carried it).  Replies are still
+  // matched on message content, since duplicated/reordered replies can
+  // arrive under any token.
+  uint64_t Submit(const util::Bytes& request, uint64_t tag = 0);
 
   // Receives every delivery at its delivery event; a delivery with no
   // sink installed finds no one listening and is discarded.  One
@@ -323,21 +354,24 @@ class Link {
   uint64_t SerializationNs(size_t bytes) const;
   void CountMessage(size_t bytes);
   bool SpansEnabled() const;
-  // Charges the uplink watermark and schedules the arrival event.
-  void ScheduleRequestLeg(uint64_t token, const util::Bytes& wire_request,
-                          obs::SpanContext ctx, bool is_duplicate);
+  // One transmission of a submission, as its arrival and completion
+  // closures carry it.
+  struct Leg {
+    uint64_t token = 0;
+    uint64_t tag = 0;
+    bool is_duplicate = false;
+  };
+  // Charges the uplink watermark and schedules the arrival event, which
+  // hands the bytes on to the host.
+  void ScheduleRequestLeg(Leg leg, util::Bytes wire_request, obs::SpanContext ctx);
   // Service verdict in hand (at completion-event time): run the response
   // interposer, charge the downlink, schedule the delivery event.  Error
   // verdicts take the same downlink leg as success replies.
-  void CompleteResponse(uint64_t token, util::Result<util::Bytes> result);
-  void ScheduleResponseLeg(uint64_t token, util::Status status, util::Bytes response);
+  void CompleteResponse(Leg leg, util::Result<util::Bytes> result);
+  void ScheduleResponseLeg(Leg leg, util::Result<util::Bytes> reply);
   // Delivery-event time: record the transit span, then hand to the sink.
   void Deliver(Delivery delivery);
   void EraseTransitInfo(uint64_t token);
-  // Schedules on the clock's queue, tracking the id for cancellation at
-  // destruction (the event wrapper un-tracks itself on dispatch).
-  void ScheduleEvent(uint64_t at_ns, obs::TimeCategory category,
-                     std::function<void()> fn);
 
   Clock* clock_;
   LinkProfile profile_;
@@ -365,12 +399,14 @@ class Link {
     uint64_t submit_ns = 0;
   };
   std::map<uint64_t, TransitInfo> transit_info_;
-  // Events this link scheduled and has not yet seen dispatch; cancelled
-  // at destruction.
-  std::set<uint64_t> outstanding_events_;
-  // Liveness token for closures handed to a shared Host: they capture a
-  // weak copy and no-op once the link is gone.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  // Arrival and delivery events this link scheduled and has not yet
+  // seen dispatch; cancelled at destruction.
+  EventGroup events_;
+  // Liveness flag for jobs handed to a shared Host, cleared at
+  // destruction: the host drops a queued job (whose closures and
+  // per-connection service point into this link's connection) instead
+  // of starting it, and withholds a finished job's verdict.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   // The link.* counters live in the registry, shared across links.
   obs::Registry* registry_ = nullptr;
   obs::Counter* m_messages_ = nullptr;

@@ -1,7 +1,10 @@
 // The discrete-event core and the timing bugs it was built to kill.
 //
 // Layer one pins the EventQueue itself: deterministic FIFO among equal
-// timestamps and cancellation that neither runs nor charges.  Layer two
+// timestamps, cancellation that neither runs nor charges, ids that go
+// stale when their slot is reused, closures that run (or die) exactly
+// once, and an allocation budget: warm Schedule/Cancel/RunOne cycles
+// allocate nothing for closures within EventFn's inline size.  Layer two
 // pins the Host admission pipeline (bounded queue, shedding, retransmit
 // recovery) and the sim::Link regressions fixed alongside it: error
 // verdicts that used to skip the downlink leg, duplicate deliveries that
@@ -11,15 +14,23 @@
 // differential test checks the event core against the inline watermark
 // model (Roundtrip) at window=1 — same timeline, same ledger, to the
 // nanosecond — and every scenario re-checks the ledger invariant: the
-// per-category totals sum exactly to now_ns().
+// per-category totals sum exactly to now_ns().  Layer three tears owners
+// down mid-run: a Link, Host or Client cancels exactly its own pending
+// events, and a shared Host drops the queued jobs of a connection that
+// is gone instead of running them against its freed service.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -30,6 +41,33 @@
 #include "src/sim/network.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
+#include "src/xdr/xdr.h"
+
+namespace {
+
+// Every replaceable operator new in this binary bumps this count; the
+// allocation-budget test reads it around a window of its own calls.
+std::atomic<uint64_t> g_allocations{0};
+
+}  // namespace
+
+// GCC pairs the inlined `new` with the free() below and warns; the pair
+// is a matched malloc/free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -119,6 +157,147 @@ TEST(EventQueueTest, CancelledEventNeitherRunsNorCharges) {
   EXPECT_EQ(clock.charged_ns(TimeCategory::kWait), 0u);
   EXPECT_EQ(clock.charged_ns(TimeCategory::kCpu), 100u);
   ExpectLedgerBalanced(clock);
+}
+
+TEST(EventQueueTest, StaleIdsNeverCancelALaterEvent) {
+  sim::Clock clock;
+  sim::EventQueue* events = clock.events();
+  // A is cancelled, and its heap entry discarded, which frees its slot;
+  // B takes the slot under a new generation.
+  const sim::EventQueue::EventId a = events->Schedule(10, TimeCategory::kWait, [] {});
+  EXPECT_TRUE(events->Cancel(a));
+  EXPECT_EQ(events->next_time_ns(), UINT64_MAX) << "A's dead entry is discarded";
+  bool b_ran = false;
+  const sim::EventQueue::EventId b =
+      events->Schedule(20, TimeCategory::kWait, [&] { b_ran = true; });
+  EXPECT_EQ(static_cast<uint32_t>(b), static_cast<uint32_t>(a)) << "B reuses A's slot";
+  EXPECT_NE(b, a);
+  EXPECT_FALSE(events->Cancel(a)) << "a stale id must not cancel the slot's next occupant";
+  EXPECT_EQ(events->size(), 1u);
+  EXPECT_TRUE(events->RunOne());
+  EXPECT_TRUE(b_ran);
+
+  // A dispatched id is stale, from inside its own closure and after.
+  sim::EventQueue::EventId c = sim::EventQueue::kInvalidId;
+  bool self_cancel = true;
+  c = events->Schedule(30, TimeCategory::kWait, [&] { self_cancel = events->Cancel(c); });
+  EXPECT_TRUE(events->RunOne());
+  EXPECT_FALSE(self_cancel) << "the running event's own id is already stale";
+  EXPECT_FALSE(events->Cancel(c));
+  EXPECT_FALSE(events->Cancel(sim::EventQueue::kInvalidId));
+  EXPECT_EQ(events->cancelled(), 1u);
+  EXPECT_EQ(events->dispatched(), 2u);
+  ExpectLedgerBalanced(clock);
+}
+
+// Counts the destruction of the one instance that was never moved from,
+// however often the closure holding it is relocated.
+class DestroyCounter {
+ public:
+  explicit DestroyCounter(int* destroyed) : destroyed_(destroyed) {}
+  DestroyCounter(DestroyCounter&& other) noexcept
+      : destroyed_(std::exchange(other.destroyed_, nullptr)) {}
+  DestroyCounter(const DestroyCounter&) = delete;
+  ~DestroyCounter() {
+    if (destroyed_ != nullptr) {
+      ++*destroyed_;
+    }
+  }
+
+ private:
+  int* destroyed_;
+};
+
+TEST(EventQueueTest, OversizedAndMoveOnlyClosuresRunOrDieExactlyOnce) {
+  sim::Clock clock;
+  sim::EventQueue* events = clock.events();
+  int large_runs = 0;
+  int move_only_runs = 0;
+  std::array<uint64_t, 40> big{};
+  big[39] = 7;
+  auto large = [&large_runs, big] { large_runs += static_cast<int>(big[39]); };
+  static_assert(!sim::EventFn::kStoredInline<decltype(large)>);
+  events->Schedule(10, TimeCategory::kWait, std::move(large));
+  events->Schedule(20, TimeCategory::kWait,
+                   [&move_only_runs, owned = std::make_unique<int>(5)] {
+                     move_only_runs += *owned;
+                   });
+
+  // Cancelled closures, inline and boxed, are destroyed at the cancel and
+  // never again.
+  int small_destroyed = 0;
+  int boxed_destroyed = 0;
+  const auto small_timer = events->Schedule(
+      5, TimeCategory::kWait, [counter = DestroyCounter(&small_destroyed)] {});
+  const auto boxed_timer = events->Schedule(
+      6, TimeCategory::kWait, [counter = DestroyCounter(&boxed_destroyed), big] {});
+  EXPECT_TRUE(events->Cancel(small_timer));
+  EXPECT_TRUE(events->Cancel(boxed_timer));
+  EXPECT_EQ(small_destroyed, 1);
+  EXPECT_EQ(boxed_destroyed, 1);
+
+  int ran_destroyed = 0;
+  events->Schedule(30, TimeCategory::kWait, [counter = DestroyCounter(&ran_destroyed)] {});
+  while (events->RunOne()) {
+  }
+  EXPECT_EQ(large_runs, 7) << "the boxed closure ran exactly once";
+  EXPECT_EQ(move_only_runs, 5) << "the move-only closure ran exactly once";
+  EXPECT_EQ(small_destroyed, 1);
+  EXPECT_EQ(boxed_destroyed, 1);
+  EXPECT_EQ(ran_destroyed, 1) << "a dispatched closure is destroyed once, after running";
+  EXPECT_EQ(events->dispatched(), 3u);
+  EXPECT_EQ(events->cancelled(), 2u);
+  ExpectLedgerBalanced(clock);
+}
+
+TEST(EventQueueTest, WarmCyclesAllocateOnlyForOversizedClosures) {
+  sim::Clock clock;
+  sim::EventQueue* events = clock.events();
+  uint64_t runs = 0;
+  // 64 bytes of captures, a link arrival event's size: stored inline.
+  std::array<uint64_t, 7> word{};
+  word[0] = 1;
+  auto fits = [&runs, word] { runs += word[0]; };
+  static_assert(sizeof(fits) == 64 && sim::EventFn::kStoredInline<decltype(fits)>);
+  // Past the inline budget: one allocation per event.
+  std::array<uint64_t, 16> block{};
+  block[0] = 1;
+  auto oversized = [&runs, block] { runs += block[0]; };
+  static_assert(!sim::EventFn::kStoredInline<decltype(oversized)>);
+
+  // One cycle: an event and a timer, the timer cancelled, then one
+  // dispatch (which discards the dead timer entry on the way).
+  auto cycle = [events, &clock](const auto& fn) {
+    const uint64_t now = clock.now_ns();
+    events->Schedule(now + 10, TimeCategory::kLink, fn);
+    events->Cancel(events->Schedule(now + 5, TimeCategory::kWait, fn));
+    events->RunOne();
+  };
+  constexpr uint64_t kWarm = 100;
+  constexpr uint64_t kCycles = 10'000;
+  // Each window counts its own calls only; no assertion runs inside.
+  for (uint64_t i = 0; i < kWarm; ++i) {
+    cycle(fits);
+  }
+  const uint64_t fits_before = g_allocations.load();
+  for (uint64_t i = 0; i < kCycles; ++i) {
+    cycle(fits);
+  }
+  const uint64_t fits_allocations = g_allocations.load() - fits_before;
+  for (uint64_t i = 0; i < kWarm; ++i) {
+    cycle(oversized);
+  }
+  const uint64_t oversized_before = g_allocations.load();
+  for (uint64_t i = 0; i < kCycles; ++i) {
+    cycle(oversized);
+  }
+  const uint64_t oversized_allocations = g_allocations.load() - oversized_before;
+
+  EXPECT_EQ(fits_allocations, 0u) << "steady-state events within the inline size allocate";
+  EXPECT_EQ(oversized_allocations, 2 * kCycles) << "one allocation per oversized event";
+  EXPECT_EQ(runs, 2 * (kWarm + kCycles));
+  EXPECT_EQ(events->cancelled(), 2 * (kWarm + kCycles));
+  EXPECT_TRUE(events->empty());
 }
 
 // --- Host admission queue --------------------------------------------------
@@ -241,6 +420,230 @@ TEST(DifferentialTest, EventCoreMatchesWatermarkModelAtWindowOne) {
             event_registry.CounterValue("link.bytes"));
   ExpectLedgerBalanced(inline_clock);
   ExpectLedgerBalanced(event_clock);
+}
+
+// --- Teardown mid-run -----------------------------------------------------
+
+// One client connection to a shared host: a per-connection dispatcher
+// (its own duplicate-request cache) behind its own link.  Members are
+// declared so destruction runs client, transport, link, dispatcher.
+struct Connection {
+  Connection(sim::Clock* clock, sim::Host* host, obs::Registry* registry, uint64_t* executions) {
+    dispatcher = std::make_unique<rpc::Dispatcher>(registry, clock);
+    dispatcher->RegisterProgram(9, [clock, executions](uint32_t, const Bytes& args) {
+      ++*executions;
+      clock->Advance(500'000, TimeCategory::kCpu);  // 500 us of service.
+      return util::Result<Bytes>(args);
+    });
+    link = std::make_unique<sim::Link>(clock, sim::LinkProfile::Udp(), host, registry,
+                                       dispatcher.get());
+    transport = std::make_unique<rpc::LinkTransport>(link.get());
+    client = std::make_unique<rpc::Client>(transport.get(), 9, registry);
+    client->set_window(4);
+  }
+
+  // Issues `calls` echo calls; each verified completion bumps *completions.
+  void Issue(int calls, const std::string& name, uint64_t* completions) {
+    for (int i = 0; i < calls; ++i) {
+      const std::string payload = name + " op " + std::to_string(i);
+      client->CallAsync(1, BytesOf(payload), [payload, completions](util::Result<Bytes> reply) {
+        EXPECT_TRUE(reply.ok()) << payload << ": " << reply.status().ToString();
+        EXPECT_EQ(reply.value(), BytesOf(payload));
+        ++*completions;
+      });
+    }
+  }
+
+  std::unique_ptr<rpc::Dispatcher> dispatcher;
+  std::unique_ptr<sim::Link> link;
+  std::unique_ptr<rpc::LinkTransport> transport;
+  std::unique_ptr<rpc::Client> client;
+};
+
+TEST(HostTest, TornDownConnectionsQueuedJobsAreDroppedNotRun) {
+  // Regression: the host kept the per-connection Service* of a queued
+  // job and called it at service start even after the connection (and
+  // its dispatcher) had been destroyed — a use-after-free under ASan.
+  sim::Clock clock;
+  obs::Registry registry;
+  sim::Host::Options options;
+  options.concurrency = 1;
+  sim::Host host(&clock, /*service=*/nullptr, &registry, options);
+  uint64_t executions_a = 0;
+  uint64_t executions_b = 0;
+  uint64_t completions_a = 0;
+  uint64_t completions_b = 0;
+  auto a = std::make_unique<Connection>(&clock, &host, &registry, &executions_a);
+  auto b = std::make_unique<Connection>(&clock, &host, &registry, &executions_b);
+  a->Issue(3, "A", &completions_a);
+  b->Issue(3, "B", &completions_b);
+  while (host.arrivals() < 6) {
+    ASSERT_TRUE(clock.events()->RunOne());
+  }
+  // One job in service (A's first), five queued, B's among them.
+  EXPECT_EQ(host.in_service(), 1u);
+  EXPECT_EQ(host.queue_length(), 5u);
+  EXPECT_EQ(executions_b, 0u);
+
+  b.reset();  // Client, link and dispatcher B, in that order.
+  clock.events()->RunUntil(UINT64_MAX);
+
+  EXPECT_EQ(completions_a, 3u) << "the surviving connection is served";
+  EXPECT_EQ(executions_a, 3u);
+  EXPECT_EQ(executions_b, 0u) << "an orphaned job is neither executed nor answered";
+  EXPECT_EQ(completions_b, 0u);
+  EXPECT_EQ(host.queue_length(), 0u);
+  EXPECT_EQ(host.in_service(), 0u);
+  EXPECT_TRUE(clock.events()->empty());
+  ExpectLedgerBalanced(clock);
+}
+
+TEST(TeardownTest, EachOwnerCancelsExactlyItsOwnEvents) {
+  sim::Clock clock;
+  sim::EventQueue* events = clock.events();
+  obs::Registry registry;
+  sim::Host::Options options;
+  options.concurrency = 1;
+  sim::Host host(&clock, /*service=*/nullptr, &registry, options);
+  uint64_t executions_a = 0;
+  uint64_t executions_b = 0;
+  uint64_t completions_a = 0;
+  uint64_t completions_b = 0;
+  Connection a(&clock, &host, &registry, &executions_a);
+  auto b = std::make_unique<Connection>(&clock, &host, &registry, &executions_b);
+  b->Issue(3, "B", &completions_b);
+  a.Issue(3, "A", &completions_a);
+  // B's first call is served first; A's waits behind it.  Stop when that
+  // service completes and A's first starts: B's reply is on B's
+  // downlink, A's completion is on the host, every call's timer is armed.
+  while (executions_a < 1) {
+    ASSERT_TRUE(events->RunOne());
+  }
+  ASSERT_EQ(executions_b, 1u);
+  EXPECT_EQ(host.arrivals(), 6u) << "every arrival event has dispatched";
+  EXPECT_EQ(events->size(), 8u) << "6 timers, 1 delivery, 1 completion";
+  // One more call from B puts an arrival on B's uplink and a fourth timer
+  // in B's client.
+  b->Issue(1, "B late", &completions_b);
+  EXPECT_EQ(events->size(), 10u);
+
+  // The client owns its four retransmission timers.
+  uint64_t cancelled = events->cancelled();
+  b->client.reset();
+  EXPECT_EQ(events->size(), 6u);
+  EXPECT_EQ(events->cancelled(), cancelled + 4);
+  // The link owns the arrival on its uplink and the delivery on its
+  // downlink.
+  cancelled = events->cancelled();
+  b->transport.reset();
+  b->link.reset();
+  EXPECT_EQ(events->size(), 4u);
+  EXPECT_EQ(events->cancelled(), cancelled + 2);
+  b.reset();
+
+  // The host owns the completion of the job in service.  A scratch host
+  // on the same clock with an arrival of its own shows it: destroying
+  // the host cancels that completion and nothing else.
+  FixedCostEcho echo(&clock, 100'000);
+  bool answered = false;
+  {
+    sim::Host scratch(&clock, &echo, &registry);
+    scratch.Arrive(BytesOf("never answered"), obs::SpanContext{},
+                   [&answered](util::Result<Bytes>) { answered = true; });
+    EXPECT_EQ(events->size(), 5u);
+    cancelled = events->cancelled();
+  }
+  EXPECT_EQ(events->size(), 4u);
+  EXPECT_EQ(events->cancelled(), cancelled + 1);
+
+  // The survivors' events still run: A's calls all complete, and B's
+  // orphaned jobs are dropped at the host.
+  events->RunUntil(UINT64_MAX);
+  EXPECT_FALSE(answered);
+  EXPECT_EQ(completions_a, 3u);
+  EXPECT_EQ(executions_a, 3u);
+  EXPECT_EQ(completions_b, 0u) << "B's reply died with its link";
+  EXPECT_EQ(executions_b, 1u);
+  EXPECT_EQ(host.arrivals(), 6u) << "B's late call never arrived";
+  EXPECT_TRUE(events->empty());
+  ExpectLedgerBalanced(clock);
+}
+
+// Answers the request with wire seqno `doomed` with a service-level
+// verdict, as a sealed channel answers for a dead session, and passes
+// every other request to `inner`.
+class FailOneSeqno : public sim::Service {
+ public:
+  FailOneSeqno(sim::Service* inner, uint32_t doomed) : inner_(inner), doomed_(doomed) {}
+  util::Result<Bytes> Handle(const Bytes& request) override {
+    if (xdr::PeekUint32(request, 4).value() == doomed_) {
+      return util::Unavailable("connection torn down");
+    }
+    return inner_->Handle(request);
+  }
+
+ private:
+  sim::Service* inner_;
+  uint32_t doomed_;
+};
+
+// Drops the first `copies` transmissions of the request with wire seqno
+// `seqno`.
+class DropEarlyCopies : public sim::Interposer {
+ public:
+  DropEarlyCopies(uint32_t seqno, int copies) : seqno_(seqno), copies_(copies) {}
+  util::Result<Bytes> OnRequest(Bytes request) override {
+    if (xdr::PeekUint32(request, 4).value() == seqno_ && copies_ > 0) {
+      --copies_;
+      return util::Unavailable("dropped");
+    }
+    return request;
+  }
+
+ private:
+  uint32_t seqno_;
+  int copies_;
+};
+
+TEST(ClientTest, ServiceVerdictCompletesTheCallItsTransmissionCarried) {
+  // Each transmission is tagged with its call's xid, so a verdict that
+  // rides a late retransmission still completes its own call — with no
+  // cap on how many transmissions a call may make.
+  sim::Clock clock;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [](uint32_t, const Bytes& args) {
+    return util::Result<Bytes>(args);
+  });
+  FailOneSeqno service(&dispatcher, /*doomed=*/2);
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &service, &registry);
+  DropEarlyCopies interposer(/*seqno=*/2, /*copies=*/7);
+  link.set_interposer(&interposer);
+  sim::RetryPolicy policy;
+  policy.max_transmissions = 10;
+  link.set_retry_policy(policy);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
+  client.set_window(4);
+
+  std::vector<std::optional<util::Result<Bytes>>> outcomes(3);
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    client.CallAsync(1, BytesOf("op " + std::to_string(i)),
+                     [&outcomes, i](util::Result<Bytes> reply) { outcomes[i] = std::move(reply); });
+  }
+  client.Drain();
+
+  ASSERT_TRUE(outcomes[0].has_value() && outcomes[1].has_value() && outcomes[2].has_value());
+  EXPECT_TRUE(outcomes[0]->ok());
+  EXPECT_TRUE(outcomes[2]->ok());
+  ASSERT_FALSE(outcomes[1]->ok()) << "the verdict completes xid 2, the call it was sent for";
+  EXPECT_EQ(outcomes[1]->status().code(), util::ErrorCode::kUnavailable);
+  EXPECT_EQ(outcomes[1]->status().message(), "connection torn down");
+  EXPECT_EQ(registry.CounterValue("link.retransmissions"), 7u)
+      << "the verdict rode the eighth transmission";
+  EXPECT_EQ(registry.CounterValue("rpc.client.unmatched_replies"), 0u);
+  EXPECT_TRUE(clock.events()->empty());
+  ExpectLedgerBalanced(clock);
 }
 
 // --- Link timing regressions ----------------------------------------------

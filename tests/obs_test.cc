@@ -300,6 +300,48 @@ TEST(RegistryTest, CountersAndHistograms) {
   EXPECT_NE(text.find("test.latency_ns"), std::string::npos);
 }
 
+TEST(HistogramTest, BucketMatchesLinearScan) {
+  // The bucket rule as a scan: the first bound at or above the value,
+  // else the unbounded last bucket.
+  auto scanned_bucket = [](uint64_t value_ns) {
+    size_t i = 0;
+    while (i + 1 < obs::Histogram::kNumBuckets && value_ns > obs::Histogram::BucketBoundNs(i)) {
+      ++i;
+    }
+    return i;
+  };
+  std::vector<uint64_t> values = {0, 1, 999, 1000, 1001, UINT64_MAX};
+  // Every bucket bound, and on past the last one until 1000 << i overflows.
+  for (size_t i = 0; i < 54; ++i) {
+    const uint64_t bound = uint64_t{1000} << i;
+    values.insert(values.end(), {bound - 1, bound, bound + 1});
+  }
+  for (uint64_t value : values) {
+    obs::Histogram h;
+    h.Record(value);
+    const size_t want = scanned_bucket(value);
+    for (size_t b = 0; b < obs::Histogram::kNumBuckets; ++b) {
+      EXPECT_EQ(h.bucket(b), b == want ? 1u : 0u) << "value " << value << " bucket " << b;
+    }
+  }
+}
+
+TEST(RegistryTest, ProcFamiliesAreBuiltOncePerRegistry) {
+  obs::Registry registry;
+  obs::ProcMetricsTable first;
+  obs::ProcMetricsTable second;
+  first.Init(&registry, "rpc.client.NFS3");
+  second.Init(&registry, "rpc.client.NFS3");
+  obs::ProcMetrics* read = first.Get(6, "READ");
+  EXPECT_EQ(first.Get(6, "READ"), read);
+  EXPECT_EQ(second.Get(6, "READ"), read) << "every table on the registry shares the family";
+  EXPECT_NE(second.Get(1, "GETATTR"), read);
+  EXPECT_EQ(registry.GetCounter("rpc.client.NFS3.READ.calls"), read->calls);
+  EXPECT_EQ(registry.FindHistogram("rpc.client.NFS3.READ.latency_ns"), read->latency);
+  EXPECT_EQ(registry.GetCounter("rpc.client.NFS3.READ.time.wait_ns"),
+            read->time[static_cast<size_t>(obs::TimeCategory::kWait)]);
+}
+
 TEST(TracerTest, InactiveWithoutSinksAndPrettyPrinterFormats) {
   obs::Tracer tracer;
   EXPECT_FALSE(tracer.active());
