@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,9 +29,7 @@ namespace bench {
 // virtual duration (for the BENCH_obs_report.json rows).
 // `timeline_text`, when non-null, enables the testbed telemetry
 // timeline (100 ms virtual windows) and receives its ToText rendering
-// (obs_report --timeline).  Text mode attaches a small registry-backed
-// trace ring so the footer can report overwrite pressure
-// (trace.ring.dropped) alongside the gauges.
+// (obs_report --timeline).
 inline std::string RunObsWorkload(Config config, bool text = false,
                                   uint64_t* elapsed_virtual_ns = nullptr,
                                   std::string* timeline_text = nullptr) {
@@ -40,11 +37,6 @@ inline std::string RunObsWorkload(Config config, bool text = false,
   std::string dir = tb.WorkDir();
   if (timeline_text != nullptr) {
     tb.EnableTimeline(100'000'000);
-  }
-  std::unique_ptr<obs::RingBufferSink> ring;
-  if (text) {
-    ring = std::make_unique<obs::RingBufferSink>(256, tb.registry());
-    tb.registry()->tracer().AddSink(ring.get());
   }
   const uint64_t workload_start_ns = tb.clock()->now_ns();
 
@@ -82,18 +74,7 @@ inline std::string RunObsWorkload(Config config, bool text = false,
   }
   if (text) {
     tb.clock()->ExportTimeCounters(tb.registry());
-    std::string out = tb.registry()->SnapshotText();
-    // Footer: trace-ring pressure.  The counter only counts overwrites,
-    // so a run whose events fit the ring reports 0 dropped.
-    tb.registry()->tracer().RemoveSink(ring.get());
-    char footer[128];
-    std::snprintf(footer, sizeof(footer),
-                  "trace ring: %llu events seen (capacity 256), %llu dropped\n",
-                  static_cast<unsigned long long>(ring->total_events()),
-                  static_cast<unsigned long long>(
-                      tb.registry()->CounterValue("trace.ring.dropped")));
-    out += footer;
-    return out;
+    return tb.registry()->SnapshotText();
   }
   return tb.ObsSnapshotJson();
 }

@@ -24,8 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/trace.h"
-
 namespace obs {
 
 // Where a nanosecond of virtual time was charged.  sim::Clock accounts
@@ -163,9 +161,9 @@ struct ProcMetrics {
   Counter* time[kTimeCategoryCount] = {};
 };
 
-// Named metrics for one process (or one testbed).  Also owns the Tracer
-// through which the RPC layers publish structured trace events — one
-// handle threads the whole observability subsystem through a stack.
+// Named metrics for one process (or one testbed).  Also owns the span
+// collector — one handle threads the whole observability subsystem
+// through a stack.
 class SpanCollector;
 
 class Registry {
@@ -197,8 +195,6 @@ class Registry {
   // Human-readable dump, one metric per line.
   std::string SnapshotText() const;
 
-  Tracer& tracer() { return tracer_; }
-
   // The registry's span collector (src/obs/span.h); disabled until a
   // harness calls spans().Enable() with clock callbacks.  Held by
   // pointer so this header need not see the span types.
@@ -217,7 +213,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, ProcMetrics> proc_families_;  // By family base name.
-  Tracer tracer_;
   std::unique_ptr<SpanCollector> spans_;
 };
 

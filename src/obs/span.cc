@@ -272,6 +272,15 @@ std::string FormatSpanTree(const std::vector<Span>& spans, uint64_t trace_id) {
     if (!span.detail.empty()) {
       out << " [" << span.detail << "]";
     }
+    if (span.xid != 0) {
+      out << " xid=" << span.xid;
+    }
+    if (span.seqno != 0) {
+      out << " seq=" << span.seqno;
+    }
+    if (span.wire_bytes != 0) {
+      out << " " << span.wire_bytes << "B";
+    }
     out << " " << span.duration_ns() / 1000 << "us"
         << " (" << span.start_ns / 1000 << "us..+" << span.duration_ns() / 1000
         << ")";

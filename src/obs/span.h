@@ -80,7 +80,7 @@ struct Span {
 // Collects spans for one registry.  Disabled (the default) every entry
 // point is a cheap early-out, so instrumented layers stay free when
 // tracing is off.  Not thread-safe — the simulation is single-threaded
-// (the same story as RingBufferSink; docs/OBSERVABILITY.md).
+// (docs/OBSERVABILITY.md).
 class SpanCollector {
  public:
   using NowFn = std::function<uint64_t()>;
@@ -225,7 +225,10 @@ std::vector<CriticalPathRow> CriticalPathByName(const std::vector<Span>& spans,
 // All spans of `trace_id`, roots first, then by start time.
 std::vector<Span> SpansOfTrace(const std::vector<Span>& spans, uint64_t trace_id);
 
-// Indented one-line-per-span rendering of one trace's tree.
+// Indented one-line-per-span rendering of one trace's tree, with each
+// span's xid, wire seqno and wire bytes when set: the RPC traffic
+// pretty-printer, e.g.
+//   sfs.call.WRITE xid=3 seq=3 148B 7264us (106030us..+7264)
 std::string FormatSpanTree(const std::vector<Span>& spans, uint64_t trace_id);
 
 // --- Perfetto / Chrome trace-event export -----------------------------------

@@ -8,7 +8,6 @@
 
 #include "src/obs/span.h"
 #include "src/sim/event.h"
-#include "src/util/log.h"
 #include "src/xdr/xdr.h"
 
 namespace rpc {
@@ -72,7 +71,6 @@ Dispatcher::Dispatcher(obs::Registry* registry, const sim::Clock* clock, ServerC
     : codec_(codec != nullptr ? codec : &plain_codec_),
       registry_(registry != nullptr ? registry : obs::Registry::Default()),
       clock_(clock),
-      tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
       m_drc_hits_(registry_->GetCounter("server.drc_hits")) {}
 
@@ -90,22 +88,10 @@ void Dispatcher::RegisterProgram(uint32_t prog, ProgramHandler handler, ProcName
 
 util::Bytes Dispatcher::Replay(uint32_t seqno, const DrcEntry& entry) {
   m_drc_hits_->Increment();
-  const uint64_t now_ns = clock_ != nullptr ? clock_->now_ns() : 0;
-  if (tracer_->active()) {
-    obs::TraceEvent event;
-    event.kind = obs::TraceEvent::Kind::kServerDrcHit;
-    event.layer = codec_->layer();
-    event.seqno = seqno;
-    event.wire_bytes = entry.reply.size();
-    event.t_send_ns = now_ns;
-    event.t_recv_ns = now_ns;
-    event.drc_hit = true;
-    event.note = "replayed cached reply";
-    tracer_->Emit(event);
-  }
   if (spans_->enabled()) {
     // Zero-duration marker in the original call's trace: the copy is never
     // decoded (the sealed channel's keystream must not advance).
+    const uint64_t now_ns = clock_ != nullptr ? clock_->now_ns() : 0;
     obs::Span span;
     span.name = codec_->drc_hit_span();
     span.layer = "server";
@@ -177,24 +163,6 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
   } else {
     std::string proc_name =
         program->namer ? program->namer(proc.value()) : std::to_string(proc.value());
-    if (util::GetLogLevel() <= util::LogLevel::kDebug) {
-      SFS_LOG(kDebug) << "rpc call prog=" << prog.value() << " proc=" << proc_name
-                      << " args=" << args.value().size() << "B";
-    }
-    obs::TraceEvent event;
-    if (tracer_->active()) {
-      event.kind = obs::TraceEvent::Kind::kServerDispatch;
-      event.layer = codec_->layer();
-      event.prog = prog.value();
-      event.proc = proc.value();
-      event.proc_name = proc_name;
-      event.xid = xid.value();
-      event.seqno = seqno;
-      event.wire_bytes = request.size();
-      event.t_send_ns = now_ns;
-      tracer_->Emit(event);
-    }
-
     obs::ProcMetrics* pm = program->metrics.Get(proc.value(), proc_name);
     pm->calls->Increment();
     pm->bytes_received->Increment(request.size());
@@ -222,10 +190,9 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
       spans_->Pop(dispatch_span);
       spans_->End(dispatch_span);
     }
-    const uint64_t done_ns = clock_ != nullptr ? clock_->now_ns() : 0;
     if (clock_ != nullptr) {
       // Handler execution time (server CPU + disk, by the cost model).
-      pm->latency->Record(done_ns - now_ns);
+      pm->latency->Record(clock_->now_ns() - now_ns);
     }
     if (!result.ok()) {
       pm->errors->Increment();
@@ -238,16 +205,6 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
     }
     wire = codec_->Seal(seqno, reply.Take());
     pm->bytes_sent->Increment(wire.size());
-
-    if (tracer_->active()) {
-      event.kind = obs::TraceEvent::Kind::kServerReply;
-      event.wire_bytes = wire.size();
-      event.t_recv_ns = done_ns;
-      if (!result.ok()) {
-        event.note = result.status().message();
-      }
-      tracer_->Emit(event);
-    }
   }
 
   // Cache every reply — including handler errors, which a duplicate must
@@ -284,7 +241,6 @@ Client::Client(Transport* transport, std::vector<Program> programs, obs::Registr
       link_(transport->link()),
       clock_(link_->clock()),
       registry_(registry != nullptr ? registry : obs::Registry::Default()),
-      tracer_(&registry_->tracer()),
       spans_(&registry_->spans()),
       m_stale_retries_(registry_->GetCounter("rpc.client.stale_retries")),
       m_unmatched_replies_(registry_->GetCounter("rpc.client.unmatched_replies")),
@@ -409,8 +365,6 @@ util::Result<util::Bytes> Client::LegacyCall(uint32_t prog, uint32_t proc,
     }
   };
 
-  EmitEvent(obs::TraceEvent::Kind::kClientCall, call, call.wire.size(), "");
-
   // Only this call's replies may nest under its span.
   const CallSpanFn own_span = [&](uint32_t seqno) {
     obs::Span* s = call_span.span();
@@ -432,8 +386,6 @@ util::Result<util::Bytes> Client::LegacyCall(uint32_t prog, uint32_t proc,
       if (obs::Span* s = call_span.span()) {
         ++s->retransmits;
       }
-      EmitEvent(obs::TraceEvent::Kind::kClientRetransmit, call, call.wire.size(),
-                last_error.message());
     }
     call.pm->bytes_sent->Increment(call.wire.size());
 
@@ -443,7 +395,6 @@ util::Result<util::Bytes> Client::LegacyCall(uint32_t prog, uint32_t proc,
       finish(false, 0);
       return roundtrip.status();
     }
-    const uint64_t reply_bytes = roundtrip->size();
     for (util::Result<util::Bytes>& reply :
          transport_->Unframe(std::move(roundtrip).value(), own_span)) {
       util::Result<util::Bytes> outcome = util::Unavailable("RPC: no reply");
@@ -451,15 +402,12 @@ util::Result<util::Bytes> Client::LegacyCall(uint32_t prog, uint32_t proc,
           reply.ok() ? ParseReply(std::move(reply).value(), &outcome) : reply.status();
       if (reply_xid.ok() && reply_xid.value() == call.xid) {
         finish(outcome.ok(), outcome.ok() ? outcome->size() : 0);
-        if (outcome.ok()) {
-          EmitEvent(obs::TraceEvent::Kind::kClientReply, call, outcome->size(), "");
-        }
         return outcome;
       }
       last_error = reply_xid.ok() ? util::Unavailable("RPC: stale reply xid " +
                                                       std::to_string(reply_xid.value()))
                                   : reply_xid.status();
-      CountUnmatched(reply_xid.ok() ? reply_xid.value() : 0, reply_bytes, last_error.message());
+      m_unmatched_replies_->Increment();
     }
   }
   finish(false, 0);
@@ -468,44 +416,6 @@ util::Result<util::Bytes> Client::LegacyCall(uint32_t prog, uint32_t proc,
 }
 
 // --- Pipelined path ---------------------------------------------------------
-
-void Client::EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call,
-                       uint64_t wire_bytes, const std::string& note) {
-  if (!tracer_->active()) {
-    return;
-  }
-  obs::TraceEvent event;
-  event.kind = kind;
-  event.layer = transport_->layer();
-  event.prog = call.prog;
-  event.proc = call.proc;
-  event.proc_name = call.proc_name;
-  event.xid = call.xid;
-  event.seqno = call.xid;
-  event.wire_bytes = wire_bytes;
-  event.t_send_ns = call.t_call_ns;
-  event.t_recv_ns = clock_->now_ns();
-  event.attempt = call.attempt;
-  event.note = note;
-  tracer_->Emit(event);
-}
-
-void Client::CountUnmatched(uint32_t xid, uint64_t wire_bytes, const std::string& note) {
-  m_unmatched_replies_->Increment();
-  if (!tracer_->active()) {
-    return;
-  }
-  obs::TraceEvent event;
-  event.kind = obs::TraceEvent::Kind::kClientStaleReply;
-  event.layer = transport_->layer();
-  event.xid = xid;
-  event.seqno = xid;
-  event.wire_bytes = wire_bytes;
-  event.t_send_ns = clock_->now_ns();
-  event.t_recv_ns = clock_->now_ns();
-  event.note = note;
-  tracer_->Emit(event);
-}
 
 void Client::Transmit(PendingCall* call) {
   call->pm->bytes_sent->Increment(call->wire.size());
@@ -573,7 +483,6 @@ void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Ca
   auto [it, inserted] = pending_.emplace(call.xid, std::move(call));
   (void)inserted;
   g_in_flight_->Add(1);
-  EmitEvent(obs::TraceEvent::Kind::kClientCall, it->second, it->second.wire.size(), "");
   Transmit(&it->second);
   m_window_occupancy_sum_->Increment(pending_.size());
   m_window_samples_->Increment();
@@ -613,25 +522,17 @@ void Client::OnRetransmitTimer(uint32_t xid) {
   if (obs::Span* s = spans_->Find(call.span_id)) {
     ++s->retransmits;
   }
-  EmitEvent(obs::TraceEvent::Kind::kClientRetransmit, call, call.wire.size(),
-            "retransmission timer expired");
   Transmit(&call);
 }
 
 void Client::OnDelivery(sim::Delivery delivery) {
   // The transmission's tag is its call's xid; it attributes service-level
-  // verdicts (the response bytes, if any, are not a parseable reply) and
-  // names the call in unmatched-reply notes while the call is pending.
-  const auto tag = static_cast<uint32_t>(delivery.tag);
-  const uint32_t tag_xid = pending_.count(tag) != 0 ? tag : 0;
+  // verdicts, whose response bytes (if any) are not a parseable reply.
   if (!delivery.status.ok()) {
-    if (tag_xid != 0) {
-      Complete(tag_xid, delivery.status);
-    }
+    Complete(static_cast<uint32_t>(delivery.tag), delivery.status);
     return;
   }
 
-  const uint64_t wire_bytes = delivery.response.size();
   const CallSpanFn call_span = [this](uint32_t seqno) {
     auto it = pending_.find(seqno);
     obs::Span* s = it == pending_.end() ? nullptr : spans_->Find(it->second.span_id);
@@ -639,23 +540,16 @@ void Client::OnDelivery(sim::Delivery delivery) {
   };
   for (util::Result<util::Bytes>& reply :
        transport_->Unframe(std::move(delivery.response), call_span)) {
-    if (!reply.ok()) {
-      // Discarded unread: the call's timer resends, and the server's DRC
-      // replays the intact reply.
-      CountUnmatched(tag_xid, wire_bytes, reply.status().message());
-      continue;
-    }
+    // Discarded unread (the call's timer resends, and the server's DRC
+    // replays the intact reply), unparseable, or wanted by no outstanding
+    // call: a late duplicate of an already completed call (a retransmit
+    // raced the reply), or the reply of a call that gave up.  Counted,
+    // not silent.
     util::Result<util::Bytes> outcome = util::Unavailable("RPC: no reply");
-    util::Result<uint32_t> reply_xid = ParseReply(std::move(reply).value(), &outcome);
-    if (!reply_xid.ok()) {
-      CountUnmatched(tag_xid, wire_bytes, reply_xid.status().message());
-      continue;
-    }
-    if (pending_.count(reply_xid.value()) == 0) {
-      // No outstanding call wants this xid: a late duplicate of an already
-      // completed call (a retransmit raced the reply), or the reply of a
-      // call that gave up.  Counted, not silent.
-      CountUnmatched(reply_xid.value(), wire_bytes, "no outstanding call for xid");
+    util::Result<uint32_t> reply_xid =
+        reply.ok() ? ParseReply(std::move(reply).value(), &outcome) : reply.status();
+    if (!reply_xid.ok() || pending_.count(reply_xid.value()) == 0) {
+      m_unmatched_replies_->Increment();
       continue;
     }
     Complete(reply_xid.value(), std::move(outcome));
@@ -677,7 +571,6 @@ void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
   }
   if (result.ok()) {
     call.pm->bytes_received->Increment(result.value().size());
-    EmitEvent(obs::TraceEvent::Kind::kClientReply, call, result.value().size(), "");
   } else {
     call.pm->errors->Increment();
   }

@@ -2,9 +2,13 @@
 //
 // Mirrors the paper's implementation structure (§3.2): programs
 // communicate via RPC with XDR-described messages, and the library can
-// pretty-print traffic for debugging.  A Dispatcher is the one server-side
-// dispatch path and a Client the one client-side call engine, for plain
-// NFS3 and for the SFS secure channel alike.
+// pretty-print traffic for debugging.  Spans are that record: each call
+// opens a call span, each execution a dispatch span and each duplicate
+// answered from the cache a drc_hit span, annotated with xid, seqno and
+// wire bytes, and obs::FormatSpanTree prints them (docs/OBSERVABILITY.md
+// §3).  A Dispatcher is the one server-side dispatch path and a Client
+// the one client-side call engine, for plain NFS3 and for the SFS secure
+// channel alike.
 //
 // Both speak in bodies; a wire format turns them into bytes — a Transport
 // on the client, a ServerCodec on the server.
@@ -69,20 +73,19 @@ inline constexpr uint32_t kMaxSendWindow = 32;
 using ProgramHandler =
     std::function<util::Result<util::Bytes>(uint32_t proc, const util::Bytes& args)>;
 
-// Optional proc-name resolver, used by the traffic pretty-printer.
+// Optional proc-name resolver: names metric families and spans.
 using ProcNamer = std::function<std::string(uint32_t proc)>;
 
 // The server half of a wire format, the mirror image of Transport.  The
 // Dispatcher asks it for a request's wire seqno (the DRC key, read before
 // anything is decoded), for a fresh request's call body, and for the wire
-// bytes of its reply.  It also names the server's spans and trace layer.
+// bytes of its reply.  It also names the server's spans.
 class ServerCodec {
  public:
-  // `dispatch_span_prefix` ("rpc.dispatch."), `drc_hit_span`
-  // ("rpc.drc_hit") and `layer` ("rpc") must outlive the codec; string
-  // literals do.
-  ServerCodec(const char* dispatch_span_prefix, const char* drc_hit_span, const char* layer)
-      : dispatch_span_prefix_(dispatch_span_prefix), drc_hit_span_(drc_hit_span), layer_(layer) {}
+  // `dispatch_span_prefix` ("rpc.dispatch.") and `drc_hit_span`
+  // ("rpc.drc_hit") must outlive the codec; string literals do.
+  ServerCodec(const char* dispatch_span_prefix, const char* drc_hit_span)
+      : dispatch_span_prefix_(dispatch_span_prefix), drc_hit_span_(drc_hit_span) {}
   virtual ~ServerCodec() = default;
   ServerCodec(const ServerCodec&) = delete;
   ServerCodec& operator=(const ServerCodec&) = delete;
@@ -99,18 +102,16 @@ class ServerCodec {
 
   const char* dispatch_span_prefix() const { return dispatch_span_prefix_; }
   const char* drc_hit_span() const { return drc_hit_span_; }
-  const char* layer() const { return layer_; }
 
  private:
   const char* dispatch_span_prefix_;
   const char* drc_hit_span_;
-  const char* layer_;
 };
 
 // The plain Sun-RPC wire format, LinkTransport's peer.
 class PlainServerCodec : public ServerCodec {
  public:
-  PlainServerCodec() : ServerCodec("rpc.dispatch.", "rpc.drc_hit", "rpc") {}
+  PlainServerCodec() : ServerCodec("rpc.dispatch.", "rpc.drc_hit") {}
   util::Result<uint32_t> Seqno(const util::Bytes& request) override;
   util::Result<util::Bytes> Open(const util::Bytes& request) override;
   util::Bytes Seal(uint32_t, util::Bytes reply) override { return reply; }
@@ -119,8 +120,8 @@ class PlainServerCodec : public ServerCodec {
 class Dispatcher : public sim::Service {
  public:
   // `registry` receives the server.* counters, per-procedure ops metrics
-  // and trace events; nullptr selects obs::Registry::Default().  `clock`
-  // (optional) timestamps trace events and feeds per-procedure handler
+  // and spans; nullptr selects obs::Registry::Default().  `clock`
+  // (optional) timestamps drc_hit spans and feeds per-procedure handler
   // latency histograms.  `codec` (which must outlive the dispatcher)
   // selects the wire format; nullptr serves the plain one.
   explicit Dispatcher(obs::Registry* registry = nullptr, const sim::Clock* clock = nullptr,
@@ -163,7 +164,6 @@ class Dispatcher : public sim::Service {
 
   obs::Registry* registry_;
   const sim::Clock* clock_;
-  obs::Tracer* tracer_;
   obs::SpanCollector* spans_;
   obs::Counter* m_drc_hits_;
 };
@@ -176,7 +176,7 @@ using CallSpanFn = std::function<obs::SpanContext(uint32_t seqno)>;
 // The wire format of one connection over a sim::Link.  The Client hands
 // the transport each call body once and every arriving message; the
 // transport owns everything between bodies and wire bytes.  It also names
-// the engine's per-call spans and trace events.
+// the engine's per-call spans and their layer.
 class Transport {
  public:
   // `call_span_prefix` ("rpc.call.") and `layer` ("rpc") must outlive the
@@ -222,8 +222,7 @@ class Client {
  public:
   // One program the client calls.  `name` labels its metric family
   // ("rpc.client.<name>.<PROC>.*"; empty derives "PROG<prog>") and
-  // `namer` resolves its procedure numbers for metrics, spans and trace
-  // events.
+  // `namer` resolves its procedure numbers for metrics and spans.
   struct Program {
     uint32_t prog = 0;
     std::string name;
@@ -231,7 +230,7 @@ class Client {
   };
 
   // `registry` receives the rpc.client.* counters, the per-program metric
-  // families and trace events; nullptr selects obs::Registry::Default().
+  // families and spans; nullptr selects obs::Registry::Default().
   // The client calls only these programs; the first is the default for
   // the program-less Call and CallAsync.  Registers itself as the link's
   // delivery sink; the link and its clock must outlive the client.
@@ -321,9 +320,6 @@ class Client {
   void OnRetransmitTimer(uint32_t xid);
   // Removes the call from the window and runs its callback.
   void Complete(uint32_t xid, util::Result<util::Bytes> result);
-  void CountUnmatched(uint32_t xid, uint64_t wire_bytes, const std::string& note);
-  void EmitEvent(obs::TraceEvent::Kind kind, const PendingCall& call, uint64_t wire_bytes,
-                 const std::string& note);
 
   Transport* transport_;
   sim::Link* link_;
@@ -340,7 +336,6 @@ class Client {
   sim::EventGroup timers_;
 
   obs::Registry* registry_;
-  obs::Tracer* tracer_;
   obs::SpanCollector* spans_;
   obs::Counter* m_stale_retries_;
   obs::Counter* m_unmatched_replies_;

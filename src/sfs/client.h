@@ -60,8 +60,8 @@ class SfsClient {
     // WRITE(UNSTABLE) batches + one COMMIT at close (replayed if the
     // server's write verifier changed).  Off = write-through.
     bool write_behind = false;
-    // Receives the link.* / rpc.client.* metrics and trace events for
-    // every mount; nullptr selects obs::Registry::Default().
+    // Receives the link.* / rpc.client.* metrics and spans for every
+    // mount; nullptr selects obs::Registry::Default().
     obs::Registry* registry = nullptr;
   };
 

@@ -476,6 +476,12 @@ util::Status ServerConnection::CheckSeqno(uint32_t seqno) {
   }
   seqnos_seen_.insert(seqno);
   max_seqno_ = std::max(max_seqno_, seqno);
+  if (max_seqno_ > kSeqnoWindow) {
+    // The window check refuses anything older, so forget it: the set
+    // holds at most the kSeqnoWindow + 1 seqnos the window admits.
+    seqnos_seen_.erase(seqnos_seen_.begin(),
+                       seqnos_seen_.lower_bound(max_seqno_ - kSeqnoWindow));
+  }
   return util::OkStatus();
 }
 

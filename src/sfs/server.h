@@ -200,6 +200,7 @@ class ServerConnection : public sim::Service {
 
   std::map<uint32_t, nfs::Credentials> authno_to_creds_;
   uint32_t next_authno_ = 1;
+  // LOGIN seqnos used within kSeqnoWindow of the newest (CheckSeqno).
   std::set<uint32_t> seqnos_seen_;
   uint32_t max_seqno_ = 0;
 

@@ -266,7 +266,7 @@ ChannelServerCodec::ChannelServerCodec(sim::Clock* clock, const sim::CostModel* 
                                        obs::Registry* registry,
                                        std::unique_ptr<ChannelCipher> seal,
                                        std::unique_ptr<ChannelCipher> open)
-    : rpc::ServerCodec("sfs.dispatch.", "sfs.drc_hit", "sfs.chan"),
+    : rpc::ServerCodec("sfs.dispatch.", "sfs.drc_hit"),
       clock_(clock),
       costs_(costs),
       spans_(&registry->spans()),

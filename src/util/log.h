@@ -1,9 +1,10 @@
 // Minimal leveled logging for the SFS daemons.
 //
 // The paper stresses debuggability ("Our RPC library can pretty-print RPC
-// traffic...").  This logger is the sink those hooks write to.  Logging is
-// off by default so tests and benchmarks stay quiet; flip the level to
-// kDebug to watch RPC traffic.
+// traffic...").  This logger is where the span slow-op log writes its
+// pretty-printed RPC span trees (obs::SpanCollector::EnableSlowOpLog).
+// Logging is off by default so tests and benchmarks stay quiet; flip the
+// level to kInfo to watch them.
 #ifndef SFS_SRC_UTIL_LOG_H_
 #define SFS_SRC_UTIL_LOG_H_
 

@@ -249,9 +249,22 @@ TEST(AgentTest, RevocationRequiresValidCertificate) {
   Agent agent("alice");
   auto key = MakeKey(18);
   sfs::PathRevokeCert cert = sfs::PathRevokeCert::MakeRevocation(key, "host.example.com");
-  EXPECT_TRUE(agent.AddRevocation(cert).ok());
   sfs::SelfCertifyingPath path =
       sfs::SelfCertifyingPath::For("host.example.com", key.public_key());
+
+  // The same certificate with one signature byte flipped: it parses and
+  // names the path, but must not be stored.  The signature is the last
+  // field; XDR pads at most 3 bytes after it.
+  util::Bytes wire = cert.Serialize();
+  wire[wire.size() - 8] ^= 1;
+  auto tampered = sfs::PathRevokeCert::Deserialize(wire);
+  ASSERT_TRUE(tampered.ok()) << tampered.status().ToString();
+  EXPECT_TRUE(tampered->RevokedPath() == path);
+  EXPECT_FALSE(agent.AddRevocation(*tampered).ok());
+  EXPECT_FALSE(agent.IsRevoked(path));
+  EXPECT_EQ(agent.RevocationFor(path.host_id), nullptr);
+
+  EXPECT_TRUE(agent.AddRevocation(cert).ok());
   EXPECT_TRUE(agent.IsRevoked(path));
   EXPECT_NE(agent.RevocationFor(path.host_id), nullptr);
 

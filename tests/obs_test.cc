@@ -1,11 +1,12 @@
 // Observability subsystem: the metrics registry, the per-procedure
-// families, and — the important part — the RPC trace layer.  A full SFS
-// mount runs through a seeded LossyInterposer and the ring-buffer trace
-// must *show* exactly-once application-level delivery: a retransmitted
-// xid appears once (and only once) as a kClientReply, every wire seqno
-// is dispatched to a handler exactly once, and the extra copies surface
-// as kServerDrcHit events.  Counter equality alone would not distinguish
-// "deduplicated" from "never duplicated"; the trace does.
+// families, and — the important part — the RPC spans.  A full SFS mount
+// runs through a seeded LossyInterposer and the finished spans must
+// *show* exactly-once application-level delivery: a retransmitted xid
+// has one call span, closed once without error; every wire seqno is
+// dispatched to a handler exactly once; and the extra copies surface as
+// drc_hit spans, each parented under the call span of its own seqno.
+// Counter equality alone would not distinguish "deduplicated" from
+// "never duplicated"; the spans do.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -17,7 +18,6 @@
 #include "src/auth/authserver.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/sfs/client.h"
 #include "src/sfs/server.h"
 #include "src/sim/clock.h"
@@ -187,8 +187,8 @@ class JsonChecker {
 
 class ObsTest : public ::testing::Test {
  protected:
-  ObsTest() : sink_(/*capacity=*/1 << 16) {
-    registry_.tracer().AddSink(&sink_);
+  ObsTest() {
+    registry_.spans().Enable([this] { return clock_.now_ns(); }, nullptr);
 
     SfsServer::Options server_options;
     server_options.location = "obs.example.org";
@@ -253,25 +253,83 @@ class ObsTest : public ::testing::Test {
     return args.Take();
   }
 
-  // Secure-channel events only (the SFS client/server layers).
-  std::vector<obs::TraceEvent> ChanEvents() {
-    std::vector<obs::TraceEvent> out;
-    for (const obs::TraceEvent& event : sink_.Events()) {
-      if (std::string(event.layer) == "sfs.chan") {
-        out.push_back(event);
-      }
-    }
-    return out;
-  }
-
   obs::Registry registry_;
-  obs::RingBufferSink sink_;
   sim::Clock clock_;
   sim::CostModel costs_;
   auth::AuthServer authserver_;
   std::unique_ptr<SfsServer> server_;
   std::unique_ptr<SfsClient> client_;
 };
+
+// The secure channel's RPC traffic in a slice of finished spans: call
+// spans by xid, and dispatch spans and drc_hit markers by wire seqno.
+// Dispatches are selected by name, because the channel server records
+// its seal, open and audit spans in the same "server" layer.
+struct ChannelTraffic {
+  explicit ChannelTraffic(const std::vector<obs::Span>& spans) {
+    for (const obs::Span& span : spans) {
+      by_id[span.id] = &span;
+      if (span.name.rfind("sfs.call.", 0) == 0) {
+        calls[span.xid].push_back(&span);
+        retransmits += span.retransmits;
+      } else if (span.name.rfind("sfs.dispatch.", 0) == 0) {
+        dispatches[span.seqno].push_back(&span);
+      } else if (span.name == "sfs.drc_hit") {
+        drc_hits[span.seqno].push_back(&span);
+      }
+    }
+  }
+
+  // The seqno of the call span `span` hangs under; 0 when its parent is
+  // not a call span of this slice.
+  uint32_t ParentCallSeqno(const obs::Span& span) const {
+    auto it = by_id.find(span.parent_id);
+    if (it == by_id.end() || it->second->name.rfind("sfs.call.", 0) != 0) {
+      return 0;
+    }
+    return it->second->seqno;
+  }
+
+  std::map<uint64_t, const obs::Span*> by_id;
+  std::map<uint32_t, std::vector<const obs::Span*>> calls;
+  std::map<uint32_t, std::vector<const obs::Span*>> dispatches;
+  std::map<uint32_t, std::vector<const obs::Span*>> drc_hits;
+  uint64_t retransmits = 0;  // Summed over the call spans.
+};
+
+// Exactly-once, by spans: one call span per xid, closed without error
+// (one application-level reply); one handler execution per seqno, for
+// every call (xid and seqno advance together); every replay naming a
+// seqno that was dispatched (a hit for a never-seen seqno would mean the
+// cache answered a request it never executed); and every dispatch and
+// replay parented under the call span of its own seqno.
+void ExpectExactlyOnce(const ChannelTraffic& traffic) {
+  ASSERT_FALSE(traffic.calls.empty());
+  for (const auto& [xid, spans] : traffic.calls) {
+    EXPECT_EQ(spans.size(), 1u) << "xid " << xid << " entered the engine twice";
+    for (const obs::Span* span : spans) {
+      EXPECT_FALSE(span->error) << "xid " << xid << " failed";
+    }
+    EXPECT_EQ(traffic.dispatches.count(xid), 1u) << "xid " << xid << " never executed";
+  }
+  for (const auto& [seqno, spans] : traffic.dispatches) {
+    EXPECT_EQ(spans.size(), 1u) << "seqno " << seqno << " dispatched " << spans.size()
+                                << " times";
+    for (const obs::Span* span : spans) {
+      EXPECT_EQ(traffic.ParentCallSeqno(*span), seqno)
+          << "dispatch of seqno " << seqno << " not under its call span";
+    }
+  }
+  for (const auto& [seqno, spans] : traffic.drc_hits) {
+    EXPECT_EQ(traffic.dispatches.count(seqno), 1u)
+        << "DRC hit for seqno " << seqno << " that was never dispatched";
+    for (const obs::Span* span : spans) {
+      EXPECT_TRUE(span->drc_hit);
+      EXPECT_EQ(traffic.ParentCallSeqno(*span), seqno)
+          << "replay of seqno " << seqno << " not under its call span";
+    }
+  }
+}
 
 // --- Registry unit behavior --------------------------------------------------
 
@@ -342,62 +400,15 @@ TEST(RegistryTest, ProcFamiliesAreBuiltOncePerRegistry) {
             read->time[static_cast<size_t>(obs::TimeCategory::kWait)]);
 }
 
-TEST(TracerTest, InactiveWithoutSinksAndPrettyPrinterFormats) {
-  obs::Tracer tracer;
-  EXPECT_FALSE(tracer.active());
-  obs::RingBufferSink sink(4);
-  tracer.AddSink(&sink);
-  EXPECT_TRUE(tracer.active());
-
-  obs::TraceEvent event;
-  event.kind = obs::TraceEvent::Kind::kClientRetransmit;
-  event.layer = "rpc";
-  event.proc_name = "LOOKUP";
-  event.xid = 7;
-  event.seqno = 9;
-  event.attempt = 2;
-  for (int i = 0; i < 6; ++i) {  // Overflow a 4-slot ring.
-    tracer.Emit(event);
-  }
-  EXPECT_EQ(sink.total_events(), 6u);
-  EXPECT_EQ(sink.Events().size(), 4u);
-  EXPECT_EQ(sink.dropped(), 2u);
-
-  std::string line = obs::PrettyPrintSink::Format(event);
-  EXPECT_NE(line.find("LOOKUP"), std::string::npos);
-  EXPECT_NE(line.find("xid=7"), std::string::npos);
-  EXPECT_NE(line.find("retransmit"), std::string::npos);
-
-  tracer.RemoveSink(&sink);
-  EXPECT_FALSE(tracer.active());
-}
-
 // --- Clean run: every call traced, no retransmission noise -------------------
 
 TEST_F(ObsTest, CleanRunTracesEveryCallExactlyOnce) {
   ASSERT_NE(RunWorkload(4), nullptr);
-  std::map<uint32_t, int> calls, replies, retransmits;
-  for (const obs::TraceEvent& event : ChanEvents()) {
-    switch (event.kind) {
-      case obs::TraceEvent::Kind::kClientCall:
-        ++calls[event.xid];
-        break;
-      case obs::TraceEvent::Kind::kClientReply:
-        ++replies[event.xid];
-        break;
-      case obs::TraceEvent::Kind::kClientRetransmit:
-        ++retransmits[event.xid];
-        break;
-      default:
-        break;
-    }
-  }
-  EXPECT_FALSE(calls.empty());
-  EXPECT_TRUE(retransmits.empty());
-  for (const auto& [xid, n] : calls) {
-    EXPECT_EQ(n, 1) << "xid " << xid << " sent twice on a clean link";
-    EXPECT_EQ(replies[xid], 1) << "xid " << xid;
-  }
+  ASSERT_EQ(registry_.spans().dropped(), 0u) << "span store too small: trace incomplete";
+  const ChannelTraffic traffic(registry_.spans().finished());
+  ExpectExactlyOnce(traffic);
+  EXPECT_EQ(traffic.retransmits, 0u);
+  EXPECT_TRUE(traffic.drc_hits.empty());
   // Per-procedure families populated under the canonical names.
   const obs::Histogram* create_latency =
       registry_.FindHistogram("rpc.client.NFS3.CREATE.latency_ns");
@@ -419,53 +430,18 @@ TEST_F(ObsTest, LossyRunShowsExactlyOnceDeliveryInTrace) {
   SfsClient::MountPoint* mount = RunWorkload(16);
   ASSERT_NE(mount, nullptr);
   ASSERT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
-  ASSERT_EQ(sink_.dropped(), 0u) << "ring too small: trace incomplete";
-
-  std::map<uint32_t, int> replies, retransmits;
-  std::map<uint32_t, int> dispatches_by_seqno;  // Handler executions.
-  bool saw_server_drc_hit = false;
-  for (const obs::TraceEvent& event : ChanEvents()) {
-    switch (event.kind) {
-      case obs::TraceEvent::Kind::kClientReply:
-        ++replies[event.xid];
-        break;
-      case obs::TraceEvent::Kind::kClientRetransmit:
-        ++retransmits[event.xid];
-        break;
-      case obs::TraceEvent::Kind::kServerDispatch:
-        ++dispatches_by_seqno[event.seqno];
-        break;
-      case obs::TraceEvent::Kind::kServerDrcHit:
-        saw_server_drc_hit = true;
-        EXPECT_TRUE(event.drc_hit);
-        break;
-      default:
-        break;
-    }
-  }
+  ASSERT_EQ(registry_.spans().dropped(), 0u) << "span store too small: trace incomplete";
 
   // The server deduplicated at least one redelivered request, and the
-  // trace says so explicitly.
-  EXPECT_TRUE(saw_server_drc_hit);
+  // spans say so explicitly.  (At window 1 the link itself resends a lost
+  // message, so the call spans need not count retransmits.)
+  const ChannelTraffic traffic(registry_.spans().finished());
+  EXPECT_FALSE(traffic.drc_hits.empty());
 
-  // A retransmitted xid reached the application exactly once: stale-reply
-  // resends at the channel layer never surface twice above it.
-  ASSERT_FALSE(replies.empty());
-  for (const auto& [xid, n] : retransmits) {
-    EXPECT_GT(n, 0);
-    EXPECT_EQ(replies[xid], 1)
-        << "xid " << xid << " was retransmitted " << n
-        << " times but delivered " << replies[xid] << " times to the application";
-  }
-  for (const auto& [xid, n] : replies) {
-    EXPECT_EQ(n, 1) << "xid " << xid << " delivered " << n << " times";
-  }
-
-  // Every wire seqno hit a handler exactly once — duplicates were
-  // answered from the reply cache, never re-executed.
-  for (const auto& [seqno, n] : dispatches_by_seqno) {
-    EXPECT_EQ(n, 1) << "seqno " << seqno << " dispatched " << n << " times";
-  }
+  // A retransmitted xid reached the application exactly once, and every
+  // wire seqno hit a handler exactly once — duplicates were answered from
+  // the reply cache, never re-executed.
+  ExpectExactlyOnce(traffic);
 }
 
 // --- Pipelined channel: exactly-once at every swept window size --------------
@@ -475,7 +451,7 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
   // keeping several calls in flight.  Out-of-order completion, timer
   // retransmissions, and DRC replays must still collapse to exactly one
   // application-level reply per xid and one dispatch per seqno — and the
-  // ring-buffer trace, not just counters, must prove it per window size.
+  // spans, not just counters, must prove it per window size.
   for (uint32_t window : {2u, 4u, 8u}) {
     SCOPED_TRACE("window=" + std::to_string(window));
     const uint64_t occupancy_before = registry_.CounterValue("rpc.client.window_occupancy_sum");
@@ -489,7 +465,7 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
     sim::LossyInterposer lossy(/*seed=*/1000 + window, {.drop = 0.05, .duplicate = 0.02});
     client.set_interposer(&lossy);
 
-    const size_t skip = sink_.Events().size();
+    registry_.spans().ClearFinished();  // This window's slice only.
     auto mount = client.Mount(server_->Path());
     ASSERT_TRUE(mount.ok()) << mount.status().ToString();
     EXPECT_EQ((*mount)->rpc()->window(), window);
@@ -538,65 +514,17 @@ TEST_F(ObsTest, PipelinedLossyRunShowsExactlyOnceAtEverySweptWindow) {
     ASSERT_GT(samples, 0u);
     EXPECT_GT(static_cast<double>(occupancy) / static_cast<double>(samples), 1.0);
 
-    // This window's slice of the trace (the ring is large enough that
-    // nothing from this run has been evicted).
-    ASSERT_EQ(sink_.dropped(), 0u) << "ring too small: trace incomplete";
-    std::vector<obs::TraceEvent> events = sink_.Events();
-    ASSERT_GE(events.size(), skip);
-    std::map<uint32_t, int> calls, replies, retransmits;
-    std::map<uint32_t, int> dispatches_by_seqno;
-    std::map<uint32_t, int> drc_hits_by_seqno;
-    for (size_t i = skip; i < events.size(); ++i) {
-      const obs::TraceEvent& event = events[i];
-      if (std::string(event.layer) != "sfs.chan") {
-        continue;
-      }
-      switch (event.kind) {
-        case obs::TraceEvent::Kind::kClientCall:
-          ++calls[event.xid];
-          break;
-        case obs::TraceEvent::Kind::kClientReply:
-          ++replies[event.xid];
-          break;
-        case obs::TraceEvent::Kind::kClientRetransmit:
-          ++retransmits[event.xid];
-          break;
-        case obs::TraceEvent::Kind::kServerDispatch:
-          ++dispatches_by_seqno[event.seqno];
-          break;
-        case obs::TraceEvent::Kind::kServerDrcHit:
-          ++drc_hits_by_seqno[event.seqno];
-          break;
-        default:
-          break;
-      }
-    }
+    ASSERT_EQ(registry_.spans().dropped(), 0u) << "span store too small: trace incomplete";
+    const ChannelTraffic traffic(registry_.spans().finished());
 
     // The seed deterministically injected faults, so the masking machinery
-    // demonstrably ran at this window size.
+    // demonstrably ran at this window size: copies were resent and the
+    // server answered some from its cache.
     EXPECT_GT(lossy.requests_dropped() + lossy.responses_dropped() + lossy.duplicates(), 0u);
-    EXPECT_FALSE(retransmits.empty());
+    EXPECT_GT(traffic.retransmits, 0u);
+    EXPECT_FALSE(traffic.drc_hits.empty());
 
-    // Exactly-once, by trace: one application reply per xid...
-    ASSERT_FALSE(calls.empty());
-    for (const auto& [xid, n] : calls) {
-      EXPECT_EQ(n, 1) << "xid " << xid << " entered the window twice";
-      EXPECT_EQ(replies[xid], 1) << "xid " << xid;
-    }
-    for (const auto& [xid, n] : replies) {
-      EXPECT_EQ(n, 1) << "xid " << xid << " delivered " << n << " times";
-    }
-    // ...one handler execution per seqno, and every DRC hit names a seqno
-    // that genuinely was dispatched once before (a hit for a never-seen
-    // seqno would mean the cache is answering requests it never executed).
-    for (const auto& [seqno, n] : dispatches_by_seqno) {
-      EXPECT_EQ(n, 1) << "seqno " << seqno << " dispatched " << n << " times";
-    }
-    for (const auto& [seqno, n] : drc_hits_by_seqno) {
-      EXPECT_GT(n, 0);
-      EXPECT_EQ(dispatches_by_seqno.count(seqno), 1u)
-          << "DRC hit for seqno " << seqno << " that was never dispatched";
-    }
+    ExpectExactlyOnce(traffic);
   }
 }
 
@@ -631,7 +559,7 @@ TEST_F(ObsTest, LosingTheFirstOfTwoPipelinedRequestsKeepsTheSession) {
   ASSERT_TRUE(mount.ok()) << mount.status().ToString();
   DropNextRequest dropper;
   (*mount)->link()->set_interposer(&dropper);
-  const size_t skip = sink_.Events().size();
+  registry_.spans().ClearFinished();
   const uint64_t unmatched_before = registry_.CounterValue("rpc.client.unmatched_replies");
 
   dropper.Arm();
@@ -652,15 +580,15 @@ TEST_F(ObsTest, LosingTheFirstOfTwoPipelinedRequestsKeepsTheSession) {
   // discarded.
   EXPECT_GT(registry_.CounterValue("rpc.client.unmatched_replies"), unmatched_before);
 
-  std::vector<uint32_t> dispatched;
-  std::vector<obs::TraceEvent> events = sink_.Events();
-  for (size_t i = skip; i < events.size(); ++i) {
-    if (events[i].kind == obs::TraceEvent::Kind::kServerDispatch) {
-      dispatched.push_back(events[i].seqno);
-    }
-  }
-  ASSERT_EQ(dispatched.size(), 2u) << "each seqno dispatched exactly once";
-  EXPECT_EQ(dispatched[1], dispatched[0] + 1);
+  const ChannelTraffic traffic(registry_.spans().finished());
+  ExpectExactlyOnce(traffic);
+  ASSERT_EQ(traffic.calls.size(), 2u);
+  ASSERT_EQ(traffic.dispatches.size(), 2u) << "each seqno dispatched exactly once";
+  const uint32_t first = traffic.dispatches.begin()->first;
+  EXPECT_EQ(std::next(traffic.dispatches.begin())->first, first + 1);
+  // In seqno order: the second request waited for the first's resend.
+  EXPECT_LT(traffic.dispatches.at(first).front()->start_ns,
+            traffic.dispatches.at(first + 1).front()->start_ns);
 
   // The session is still usable.
   EXPECT_TRUE((*mount)->rpc()
@@ -869,6 +797,10 @@ TEST(SpanAnalysisTest, CriticalPathTablesAndChromeExport) {
     spans.Push(root);
     ledger.Tick(obs::TimeCategory::kSyscall, 10);
     uint64_t call = spans.Begin("rpc.call.READ", "rpc");
+    obs::Span* annotated = spans.Find(call);
+    annotated->xid = 7 + i;
+    annotated->seqno = 7 + i;
+    annotated->wire_bytes = 220;
     ledger.Tick(obs::TimeCategory::kLink, 200);
     spans.End(call);
     spans.Pop(root);
@@ -896,9 +828,11 @@ TEST(SpanAnalysisTest, CriticalPathTablesAndChromeExport) {
   EXPECT_NE(json.find("\"vfs.read\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
 
+  // The tree is the traffic pretty-printer: each call line carries its
+  // xid, wire seqno and wire bytes.
   std::string tree = obs::FormatSpanTree(finished, finished[1].trace_id);
   EXPECT_NE(tree.find("vfs.read"), std::string::npos);
-  EXPECT_NE(tree.find("rpc.call.READ"), std::string::npos);
+  EXPECT_NE(tree.find("  rpc.call.READ xid=7 seq=7 220B 0us"), std::string::npos) << tree;
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "src/crypto/prng.h"
 #include "src/crypto/rabin.h"
 #include "src/nfs/memfs.h"
-#include "src/obs/trace.h"
+#include "src/obs/span.h"
 #include "src/sfs/client.h"
 #include "src/sfs/proto.h"
 #include "src/sfs/server.h"
@@ -355,24 +355,27 @@ enum class ServerFormat { kPlain, kChannel };
 // One server connection under test.  Frame() builds call `seqno` the way
 // that format's client does (the channel seals positionally, so calls
 // are framed in seqno order); Deliver() hands any frame to the server.
-// The server's trace records what it executed.
+// The server's dispatch spans record what it executed.
 class CallStream {
  public:
-  CallStream() : sink_(1 << 12) { registry_.tracer().AddSink(&sink_); }
+  CallStream() { registry_.spans().Enable([this] { return clock_.now_ns(); }, nullptr); }
   virtual ~CallStream() = default;
   virtual Bytes Frame(uint32_t seqno, const Bytes& payload) = 0;
   virtual util::Result<Bytes> Deliver(const Bytes& frame) = 0;
   // Replaces a connection that a bad frame killed; plain RPC has none.
   virtual util::Status Reconnect() = 0;
 
-  // The seqno of every handler execution, in execution order.
-  std::vector<uint32_t> Executed() const {
+  // The seqno of every handler execution, in execution order.  Selected
+  // by name: the server records its drc_hit spans, and on the channel its
+  // seal and open spans, in the same "server" layer.
+  std::vector<uint32_t> Executed() {
     std::vector<uint32_t> seqnos;
-    for (const obs::TraceEvent& event : sink_.Events()) {
-      if (event.kind == obs::TraceEvent::Kind::kServerDispatch) {
-        seqnos.push_back(event.seqno);
+    for (const obs::Span& span : registry_.spans().finished()) {
+      if (span.name.rfind("rpc.dispatch.", 0) == 0 || span.name.rfind("sfs.dispatch.", 0) == 0) {
+        seqnos.push_back(span.seqno);
       }
     }
+    EXPECT_EQ(registry_.spans().dropped(), 0u) << "span store too small: record incomplete";
     return seqnos;
   }
 
@@ -380,7 +383,6 @@ class CallStream {
   sim::Clock clock_;
   sim::CostModel costs_;
   obs::Registry registry_;
-  obs::RingBufferSink sink_;
 };
 
 // A plain Dispatcher with an echo program.

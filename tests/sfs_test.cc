@@ -79,6 +79,30 @@ class SfsTest : public ::testing::Test {
     return [](const Bytes&, uint32_t) { return std::nullopt; };
   }
 
+  // The AuthInfo of one real Authenticate of the registered user.
+  Bytes CaptureAuthInfo(SfsClient::MountPoint* mount) {
+    Bytes auth_info;
+    SfsClient::AuthSigner signer = UserSigner();
+    auto capturing = [&](const Bytes& info, uint32_t seqno) {
+      auth_info = info;
+      return signer(info, seqno);
+    };
+    EXPECT_TRUE(mount->Authenticate(1000, capturing).ok());
+    return auth_info;
+  }
+
+  // One LOGIN sent straight through the mount's call engine at `seqno`,
+  // carrying an AuthMsg the registered user validly signed over
+  // `auth_info` and that seqno.  The mount's own seqno counter is
+  // bypassed, so a test picks (and may repeat) the seqno.
+  util::Result<Bytes> SendLogin(SfsClient::MountPoint* mount, const Bytes& auth_info,
+                                uint32_t seqno) {
+    xdr::Encoder args;
+    args.PutUint32(seqno);
+    args.PutOpaque(*UserSigner()(auth_info, seqno));
+    return mount->rpc()->Call(sfs::kSfsCtlProgram, sfs::kCtlLogin, args.Take());
+  }
+
   obs::Registry registry_;
   sim::Clock clock_;
   sim::CostModel costs_;
@@ -237,6 +261,45 @@ TEST_F(SfsTest, LoginReplayIsRejected) {
   EXPECT_EQ((*mount)->AuthnoFor(1001), sfs::kAnonymousAuthno);
 }
 
+TEST_F(SfsTest, ValidlySignedLoginReplayIsRefusedBySeqno) {
+  // Unlike the replay above, this copy's AuthMsg is validly signed for
+  // its seqno, so only the server's record of used seqnos can refuse it.
+  auto mount = client_->Mount(server_->Path());
+  ASSERT_TRUE(mount.ok());
+  const Bytes auth_info = CaptureAuthInfo(*mount);
+  const uint32_t seqno = 10;  // Fresh: the real login used the mount's first.
+  auto first = SendLogin(*mount, auth_info, seqno);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto replay = SendLogin(*mount, auth_info, seqno);
+  ASSERT_FALSE(replay.ok());
+  EXPECT_EQ(replay.status().code(), util::ErrorCode::kSecurityError);
+  EXPECT_NE(replay.status().message().find("replayed"), std::string::npos)
+      << replay.status().ToString();
+}
+
+TEST_F(SfsTest, LoginSeqnoBelowTheWindowIsRefused) {
+  auto mount = client_->Mount(server_->Path());
+  ASSERT_TRUE(mount.ok());
+  const Bytes auth_info = CaptureAuthInfo(*mount);
+  const uint32_t newest = 1000;
+  const uint32_t edge = newest - sfs::kSeqnoWindow;  // Oldest seqno still admitted.
+  ASSERT_TRUE(SendLogin(*mount, auth_info, newest).ok());
+  ASSERT_TRUE(SendLogin(*mount, auth_info, edge).ok());
+  // The server forgets seqnos that fall below the window, but not the
+  // edge: a second copy of it is still a replay.
+  auto replay = SendLogin(*mount, auth_info, edge);
+  ASSERT_FALSE(replay.ok());
+  EXPECT_NE(replay.status().message().find("replayed"), std::string::npos)
+      << replay.status().ToString();
+  // One below the edge was never used and is validly signed, but it is
+  // outside the window.
+  auto stale = SendLogin(*mount, auth_info, edge - 1);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), util::ErrorCode::kSecurityError);
+  EXPECT_NE(stale.status().message().find("outside window"), std::string::npos)
+      << stale.status().ToString();
+}
+
 TEST_F(SfsTest, SignatureFromUnknownKeyIsRejected) {
   auto mount = client_->Mount(server_->Path());
   ASSERT_TRUE(mount.ok());
@@ -342,6 +405,36 @@ TEST_F(SfsTest, ManInTheMiddleKeySubstitutionFailsCertification) {
   KeySubstitutionInterposer mitm(attacker_key.public_key());
   client_->set_interposer(&mitm);
   auto mount = client_->Mount(server_->Path());
+  ASSERT_FALSE(mount.ok());
+  EXPECT_EQ(mount.status().code(), util::ErrorCode::kSecurityError);
+}
+
+// Turns on the cleartext flag of the client's key-negotiation request,
+// the request's last XDR word.
+class CleartextDowngradeInterposer : public sim::Interposer {
+ public:
+  util::Result<Bytes> OnRequest(Bytes request) override {
+    auto type = xdr::PeekUint32(request, 0);
+    if (type.ok() && type.value() == sfs::kMsgNegotiate) {
+      request.back() = 1;
+      ++flipped_;
+    }
+    return request;
+  }
+  int flipped() const { return flipped_; }
+
+ private:
+  int flipped_ = 0;
+};
+
+TEST_F(SfsTest, CleartextDowngradeIsRefused) {
+  // The fixture's server allows cleartext and the client asks for
+  // encryption; with the flag flipped in flight the server agrees to a
+  // cleartext channel, which the client must refuse.
+  CleartextDowngradeInterposer attacker;
+  client_->set_interposer(&attacker);
+  auto mount = client_->Mount(server_->Path());
+  EXPECT_EQ(attacker.flipped(), 1);
   ASSERT_FALSE(mount.ok());
   EXPECT_EQ(mount.status().code(), util::ErrorCode::kSecurityError);
 }
@@ -525,11 +618,16 @@ TEST_F(SfsTest, TamperedRevocationCertificateFailsVerify) {
   PathRevokeCert cert =
       PathRevokeCert::MakeRevocation(server_->private_key(), server_->Path().location);
   Bytes wire = cert.Serialize();
-  wire[wire.size() - 5] ^= 1;  // Corrupt the signature.
+  // The signature is the last field; XDR pads at most 3 bytes after it,
+  // so the 8th byte from the end is a signature byte.
+  wire[wire.size() - 8] ^= 1;
   auto parsed = PathRevokeCert::Deserialize(wire);
-  if (parsed.ok()) {
-    EXPECT_FALSE(parsed->Verify().ok());
-  }
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(parsed->RevokedPath() == server_->Path());
+  EXPECT_FALSE(parsed->Verify().ok());
+  EXPECT_FALSE(client_->SubmitRevocation(*parsed).ok());
+  EXPECT_FALSE(client_->IsRevoked(server_->Path()));
+  EXPECT_TRUE(client_->Mount(server_->Path()).ok());
 }
 
 TEST_F(SfsTest, ServerServesRevocationOnConnect) {
@@ -542,6 +640,49 @@ TEST_F(SfsTest, ServerServesRevocationOnConnect) {
   EXPECT_EQ(mount.status().code(), util::ErrorCode::kSecurityError);
   // And the client remembers it (agent-style caching of revocations).
   EXPECT_TRUE(client_->IsRevoked(path));
+}
+
+// Answers the first connect with a revocation certificate: public, valid,
+// and naming whatever HostID its key certifies.
+class RevokedConnectInterposer : public sim::Interposer {
+ public:
+  explicit RevokedConnectInterposer(const PathRevokeCert& cert) : cert_(cert.Serialize()) {}
+  util::Result<Bytes> OnResponse(Bytes response) override {
+    if (answered_) {
+      return response;
+    }
+    answered_ = true;
+    xdr::Encoder reply;
+    reply.PutUint32(sfs::kConnectRevoked);
+    reply.PutOpaque(cert_);
+    return sfs::FrameMessage(sfs::kMsgConnect, reply.Take());
+  }
+  bool answered() const { return answered_; }
+
+ private:
+  Bytes cert_;
+  bool answered_ = false;
+};
+
+TEST_F(SfsTest, RevocationServedAtConnectMustNameTheMountedHostId) {
+  // Revocation certificates are public, so a network attacker can answer
+  // a connect with any valid one.  One for another key, though for the
+  // same location, must fail the mount without revoking this HostID.
+  auto other = test_keys::CachedTestKey(17, kKeyBits);
+  PathRevokeCert foreign = PathRevokeCert::MakeRevocation(other, server_->Path().location);
+  ASSERT_TRUE(foreign.Verify().ok());
+  ASSERT_FALSE(foreign.RevokedPath() == server_->Path());
+  RevokedConnectInterposer attacker(foreign);
+  client_->set_interposer(&attacker);
+  auto mount = client_->Mount(server_->Path());
+  EXPECT_TRUE(attacker.answered());
+  ASSERT_FALSE(mount.ok());
+  EXPECT_EQ(mount.status().code(), util::ErrorCode::kSecurityError);
+  EXPECT_FALSE(client_->IsRevoked(server_->Path()));
+
+  client_->set_interposer(nullptr);
+  auto again = client_->Mount(server_->Path());
+  EXPECT_TRUE(again.ok()) << again.status().ToString();
 }
 
 TEST_F(SfsTest, ForwardingPointerCertificate) {
