@@ -91,7 +91,7 @@ class NegotiateService : public sim::Service {
   NegotiateService(sim::Clock* clock, const sim::CostModel* costs)
       : clock_(clock), costs_(costs) {}
 
-  util::Result<util::Bytes> Handle(const util::Bytes& request) override {
+  util::Result<util::Bytes> Handle(util::Bytes request) override {
     (void)request;
     clock_->Advance(costs_->srp_server_ns + costs_->pk_decrypt_ns + costs_->pk_sign_ns,
                     obs::TimeCategory::kCrypto);
@@ -110,7 +110,7 @@ class DataService : public sim::Service {
   DataService(sim::Clock* clock, const sim::CostModel* costs)
       : clock_(clock), costs_(costs) {}
 
-  util::Result<util::Bytes> Handle(const util::Bytes& request) override {
+  util::Result<util::Bytes> Handle(util::Bytes request) override {
     (void)request;
     clock_->Advance(costs_->nfs_server_op_ns, obs::TimeCategory::kCpu);
     return util::Bytes(kDataReplyBytes, 0x5a);

@@ -17,6 +17,7 @@
 #include "src/sim/cost_model.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
+#include "src/xdr/xdr.h"
 
 namespace nfs {
 
@@ -39,6 +40,9 @@ class NfsProgram {
   uint64_t ops_handled() const { return ops_handled_; }
 
  private:
+  // Runs `proc` on the arguments `dec` has not yet read.
+  util::Result<util::Bytes> Dispatch(const Credentials& cred, uint32_t proc, xdr::Decoder* dec);
+
   FileSystemApi* fs_;
   sim::Clock* clock_;
   const sim::CostModel* costs_;

@@ -205,7 +205,7 @@ SignedImage ImageBuilder::Build(const crypto::RabinPrivateKey& key,
   return image;
 }
 
-util::Result<util::Bytes> ReplicaServer::Handle(const util::Bytes& request) {
+util::Result<util::Bytes> ReplicaServer::Handle(util::Bytes request) {
   clock_->Advance(costs_->nfs_server_op_ns, obs::TimeCategory::kCpu);
   xdr::Decoder dec(request);
   ASSIGN_OR_RETURN(uint32_t type, dec.GetUint32());

@@ -97,7 +97,7 @@ class ReplicaServer : public sim::Service {
   ReplicaServer(sim::Clock* clock, const sim::CostModel* costs, SignedImage image)
       : clock_(clock), costs_(costs), image_(std::move(image)) {}
 
-  util::Result<util::Bytes> Handle(const util::Bytes& request) override;
+  util::Result<util::Bytes> Handle(util::Bytes request) override;
 
   // Adversarial-test hooks: corrupt a served node / swap the image.
   void CorruptNode(const util::Bytes& hash, size_t byte_index);

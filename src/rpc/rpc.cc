@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -18,21 +17,22 @@ constexpr uint32_t kReplyAccepted = 0;
 constexpr uint32_t kReplyError = 1;
 
 // Parses a reply body into the xid it answers and the call's outcome:
-// the results, or the remote handler's error.  A body that does not
-// parse names no call; it is discarded like a stale reply.
+// the results, cut out of the body's own buffer, or the remote handler's
+// error.  A body that does not parse names no call; it is discarded like
+// a stale reply.
 util::Result<uint32_t> ParseReply(util::Bytes body, util::Result<util::Bytes>* outcome) {
-  xdr::Decoder dec(std::move(body));
+  xdr::Decoder dec(body);
   auto xid = dec.GetUint32();
   auto status = dec.GetUint32();
   if (!xid.ok() || !status.ok()) {
     return util::InvalidArgument("RPC: truncated reply");
   }
   if (status.value() == kReplyAccepted) {
-    auto results = dec.GetOpaque();
+    auto results = dec.GetOpaqueRange();
     if (!results.ok() || !dec.AtEnd()) {
       return util::InvalidArgument("RPC: malformed accepted reply");
     }
-    *outcome = std::move(results).value();
+    *outcome = xdr::KeepRange(std::move(body), results.value());
     return xid.value();
   }
   auto code = dec.GetUint32();
@@ -54,17 +54,14 @@ util::Result<uint32_t> PlainServerCodec::Seqno(const util::Bytes& request) {
   return xdr::PeekUint32(request, kWordSize);
 }
 
-util::Result<util::Bytes> PlainServerCodec::Open(const util::Bytes& request) {
+util::Result<util::Bytes> PlainServerCodec::Open(util::Bytes request) {
   // The call body is the request minus the seqno word LinkTransport::Frame
   // spliced in after the xid.
   if (request.size() < 2 * kWordSize) {
     return util::InvalidArgument("RPC: malformed call message");
   }
-  util::Bytes body(request.size() - kWordSize);
-  std::memcpy(body.data(), request.data(), kWordSize);
-  std::memcpy(body.data() + kWordSize, request.data() + 2 * kWordSize,
-              request.size() - 2 * kWordSize);
-  return body;
+  request.erase(request.begin() + kWordSize, request.begin() + 2 * kWordSize);
+  return request;
 }
 
 Dispatcher::Dispatcher(obs::Registry* registry, const sim::Clock* clock, ServerCodec* codec)
@@ -105,30 +102,36 @@ util::Bytes Dispatcher::Replay(uint32_t seqno, const DrcEntry& entry) {
   return entry.reply;
 }
 
-util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
+util::Result<util::Bytes> Dispatcher::Handle(util::Bytes request) {
   // Duplicate-request cache, consulted on the wire seqno before the codec
   // decodes anything: a retransmitted call must not re-execute a
   // non-idempotent handler, nor advance the sealed channel's keystreams.
   ASSIGN_OR_RETURN(const uint32_t seqno, codec_->Seqno(request));
-  if (auto cached = drc_.find(seqno); cached != drc_.end()) {
-    return Replay(seqno, cached->second);
-  }
   if (drc_max_seqno_ != 0 && seqno + kDrcWindow <= drc_max_seqno_) {
     // Older than anything the cache retains; the reply is long gone and
     // re-executing would break at-most-once.
     return util::InvalidArgument("RPC: request seqno below duplicate-cache window");
   }
-  ASSIGN_OR_RETURN(util::Bytes body, codec_->Open(request));
+  // Seqnos start at 1, so a connection's first calls fill the ring from
+  // its first slot.
+  const size_t slot = (seqno - 1) % kDrcWindow;
+  if (slot < drc_.size() && drc_[slot].cached && drc_[slot].seqno == seqno) {
+    return Replay(seqno, drc_[slot]);
+  }
+  const size_t request_bytes = request.size();
+  ASSIGN_OR_RETURN(util::Bytes body, codec_->Open(std::move(request)));
   if (body.empty()) {
     return body;  // Deferred by the codec: neither executed nor cached.
   }
 
-  xdr::Decoder dec(std::move(body));
+  // The header is read where it lies; the args are then cut out of the
+  // same buffer.
+  xdr::Decoder dec(body);
   auto xid = dec.GetUint32();
   auto prog = dec.GetUint32();
   auto proc = dec.GetUint32();
-  auto args = dec.GetOpaque();
-  if (!xid.ok() || !prog.ok() || !proc.ok() || !args.ok()) {
+  auto args_range = dec.GetOpaqueRange();
+  if (!xid.ok() || !prog.ok() || !proc.ok() || !args_range.ok()) {
     return util::InvalidArgument("RPC: malformed call message");
   }
   // Optional trailing trace context, present only while the caller's span
@@ -145,6 +148,7 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
   if (!dec.AtEnd()) {
     return util::InvalidArgument("RPC: malformed call message");
   }
+  const util::Bytes args = xdr::KeepRange(std::move(body), args_range.value());
 
   auto it = programs_.find(prog.value());
   Program* program = it == programs_.end() ? nullptr : &it->second;
@@ -152,10 +156,10 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
   // handler latency.
   const uint64_t now_ns = clock_ != nullptr ? clock_->now_ns() : 0;
 
-  xdr::Encoder reply;
-  reply.PutUint32(xid.value());
   util::Bytes wire;
   if (program == nullptr) {
+    xdr::Encoder reply;
+    reply.PutUint32(xid.value());
     reply.PutUint32(kReplyError);
     reply.PutUint32(static_cast<uint32_t>(util::ErrorCode::kNotFound));
     reply.PutString("no such program");
@@ -165,7 +169,7 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
         program->namer ? program->namer(proc.value()) : std::to_string(proc.value());
     obs::ProcMetrics* pm = program->metrics.Get(proc.value(), proc_name);
     pm->calls->Increment();
-    pm->bytes_received->Increment(request.size());
+    pm->bytes_received->Increment(request_bytes);
 
     // Dispatch span: explicit wire-context parent when the caller sent
     // one (correct even for a retransmitted copy raced by the original),
@@ -178,11 +182,11 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
       if (obs::Span* s = spans_->Find(dispatch_span)) {
         s->xid = xid.value();
         s->seqno = seqno;
-        s->wire_bytes = request.size();
+        s->wire_bytes = request_bytes;
       }
       spans_->Push(dispatch_span);
     }
-    auto result = program->handler(proc.value(), args.value());
+    auto result = program->handler(proc.value(), args);
     if (dispatch_span != 0) {
       if (obs::Span* s = spans_->Find(dispatch_span)) {
         s->error = !result.ok();
@@ -194,6 +198,12 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
       // Handler execution time (server CPU + disk, by the cost model).
       pm->latency->Record(clock_->now_ns() - now_ns);
     }
+    // Sized exactly: xid, status, then the results or the error.
+    const size_t outcome_bytes =
+        result.ok() ? xdr::PaddedSize(result->size())
+                    : kWordSize + xdr::PaddedSize(result.status().message().size());
+    xdr::Encoder reply(3 * kWordSize + outcome_bytes);
+    reply.PutUint32(xid.value());
     if (!result.ok()) {
       pm->errors->Increment();
       reply.PutUint32(kReplyError);
@@ -208,32 +218,33 @@ util::Result<util::Bytes> Dispatcher::Handle(const util::Bytes& request) {
   }
 
   // Cache every reply — including handler errors, which a duplicate must
-  // see verbatim rather than triggering a second execution attempt.
-  drc_[seqno] = DrcEntry{wire, wire_ctx};
+  // see verbatim rather than triggering a second execution attempt.  The
+  // cache keeps an exact-size copy; the reply itself goes to the wire.
+  if (drc_.size() <= slot) {
+    if (drc_.capacity() <= slot) {
+      // A short connection holds a few slots, a long one the whole window.
+      drc_.reserve(std::min<size_t>(
+          kDrcWindow, std::max<size_t>({slot + 1, 2 * drc_.capacity(), kDrcWindow / 8})));
+    }
+    drc_.resize(slot + 1);
+  }
+  drc_[slot] = DrcEntry{true, seqno, wire, wire_ctx};
   drc_max_seqno_ = std::max(drc_max_seqno_, seqno);
-  while (!drc_.empty() && drc_.begin()->first + kDrcWindow <= drc_max_seqno_) {
-    drc_.erase(drc_.begin());
-  }
   return wire;
 }
 
-util::Bytes LinkTransport::Frame(uint32_t seqno, const util::Bytes& body) {
+util::Bytes LinkTransport::Frame(uint32_t seqno, util::Bytes body) {
   // The plain header carries the seqno right after the body's xid.
-  util::Bytes wire(body.size() + kWordSize);
-  std::memcpy(wire.data(), body.data(), kWordSize);
-  for (size_t k = 0; k < kWordSize; ++k) {
-    wire[kWordSize + k] = static_cast<uint8_t>(seqno >> (8 * (kWordSize - 1 - k)));
-  }
-  std::memcpy(wire.data() + 2 * kWordSize, body.data() + kWordSize, body.size() - kWordSize);
-  return wire;
+  uint8_t word[kWordSize];
+  xdr::PokeUint32(word, seqno);
+  body.insert(body.begin() + kWordSize, word, word + kWordSize);
+  return body;
 }
 
-std::vector<util::Result<util::Bytes>> LinkTransport::Unframe(util::Bytes message,
-                                                              const CallSpanFn& call_span) {
+void LinkTransport::Unframe(util::Bytes message, const CallSpanFn& call_span,
+                            std::vector<util::Result<util::Bytes>>* replies) {
   (void)call_span;
-  std::vector<util::Result<util::Bytes>> replies;
-  replies.emplace_back(std::move(message));
-  return replies;
+  replies->emplace_back(std::move(message));
 }
 
 Client::Client(Transport* transport, std::vector<Program> programs, obs::Registry* registry)
@@ -269,7 +280,7 @@ Client::~Client() {
   clock_->events()->CancelGroup(&timers_);
   link_->set_delivery_sink(nullptr);
   // Calls abandoned in-flight are no longer occupying the window.
-  g_in_flight_->Add(-static_cast<int64_t>(pending_.size()));
+  g_in_flight_->Add(-static_cast<int64_t>(in_flight_));
 }
 
 void Client::set_window(uint32_t window) {
@@ -283,21 +294,47 @@ Client::ProgramState* Client::ProgramFor(uint32_t prog) {
   return &*it;
 }
 
-Client::PendingCall Client::NewCall(uint32_t prog, uint32_t proc) {
+Client::PendingCall* Client::FindCall(uint32_t xid) {
+  if (xid == 0) {
+    return nullptr;  // Marks a free slot; never issued.
+  }
+  for (PendingCall& call : calls_) {
+    if (call.xid == xid) {
+      return &call;
+    }
+  }
+  return nullptr;
+}
+
+uint32_t Client::OldestXid() const {
+  uint32_t oldest = next_xid_;
+  for (const PendingCall& call : calls_) {
+    if (call.xid != 0) {
+      oldest = std::min(oldest, call.xid);
+    }
+  }
+  return oldest;
+}
+
+Client::PendingCall Client::NewCall(uint32_t prog, uint32_t proc, std::string* proc_name) {
   ProgramState* program = ProgramFor(prog);
   PendingCall call;
   call.xid = next_xid_++;
   call.prog = prog;
   call.proc = proc;
-  call.proc_name = program->namer ? program->namer(proc) : std::to_string(proc);
-  call.pm = program->metrics.Get(proc, call.proc_name);
+  *proc_name = program->namer ? program->namer(proc) : std::to_string(proc);
+  call.pm = program->metrics.Get(proc, *proc_name);
   call.pm->calls->Increment();
   call.t_call_ns = clock_->now_ns();
   return call;
 }
 
 void Client::FrameCall(PendingCall* call, const util::Bytes& args) {
-  xdr::Encoder body;
+  // Sized for the header words, the args, a trace context and one spare
+  // word, so a transport that splices a header word into the body in
+  // place (LinkTransport) does not reallocate it.
+  xdr::Encoder body(4 * kWordSize + xdr::PaddedSize(args.size()) + 2 * sizeof(uint64_t) +
+                    kWordSize);
   body.PutUint32(call->xid);
   body.PutUint32(call->prog);
   body.PutUint32(call->proc);
@@ -337,12 +374,13 @@ util::Result<util::Bytes> Client::Call(uint32_t prog, uint32_t proc, const util:
 
 util::Result<util::Bytes> Client::LegacyCall(uint32_t prog, uint32_t proc,
                                              const util::Bytes& args) {
-  // Not entered in pending_: only this frame waits for the reply.
-  PendingCall call = NewCall(prog, proc);
+  // Not entered in calls_: only this frame waits for the reply.
+  std::string proc_name;
+  PendingCall call = NewCall(prog, proc, &proc_name);
   // The call span covers the whole stop-and-wait exchange, retransmits
   // included; pushed so transport, link and server child spans nest under
   // it.
-  obs::ScopedSpan call_span(spans_, transport_->call_span_prefix() + call.proc_name,
+  obs::ScopedSpan call_span(spans_, transport_->call_span_prefix() + proc_name,
                             transport_->layer());
   call.span_id = call_span.id();
   const sim::Clock::CategorySnapshot before = clock_->categories();
@@ -395,8 +433,9 @@ util::Result<util::Bytes> Client::LegacyCall(uint32_t prog, uint32_t proc,
       finish(false, 0);
       return roundtrip.status();
     }
-    for (util::Result<util::Bytes>& reply :
-         transport_->Unframe(std::move(roundtrip).value(), own_span)) {
+    unframed_.clear();
+    transport_->Unframe(std::move(roundtrip).value(), own_span, &unframed_);
+    for (util::Result<util::Bytes>& reply : unframed_) {
       util::Result<util::Bytes> outcome = util::Unavailable("RPC: no reply");
       util::Result<uint32_t> reply_xid =
           reply.ok() ? ParseReply(std::move(reply).value(), &outcome) : reply.status();
@@ -446,14 +485,13 @@ void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Ca
   // newer calls keep completing and freeing slots, so the send window
   // alone does not bound the seqno spread — without this hold, the DRC
   // can slide past the stuck seqno and reject its retransmission.
-  // pending_ is keyed by xid, which is also the seqno, so the first entry
-  // is the oldest.  kDrcWindow/2 leaves the server margin for
+  // A call's xid is also its seqno, so the smallest outstanding xid is the
+  // oldest call.  kDrcWindow/2 leaves the server margin for
   // retransmitted copies and matches kMaxSendWindow, so the hold only
   // ever engages when completions have outrun the oldest call by more
   // than a full window.
   auto may_issue = [this] {
-    return pending_.size() < window_ &&
-           (pending_.empty() || next_xid_ - pending_.begin()->first < kDrcWindow / 2);
+    return in_flight_ < window_ && (in_flight_ == 0 || next_xid_ - OldestXid() < kDrcWindow / 2);
   };
   if (!may_issue()) {
     // Pump until the call may enter.  The wait is real queueing delay the
@@ -467,7 +505,8 @@ void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Ca
     m_queue_wait_->Record(0);
   }
 
-  PendingCall call = NewCall(prog, proc);
+  std::string proc_name;
+  PendingCall call = NewCall(prog, proc, &proc_name);
   call.rto_ns = link_->retry_policy().initial_rto_ns;
   call.done = std::move(done);
   // Async call span: parented to the ambient span at submission (the
@@ -475,37 +514,40 @@ void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Ca
   // Initiators that must satisfy the nesting invariant drain their async
   // calls before closing their own span.
   if (spans_->enabled()) {
-    call.span_id = spans_->Begin(transport_->call_span_prefix() + call.proc_name,
+    call.span_id = spans_->Begin(transport_->call_span_prefix() + proc_name,
                                  transport_->layer());
   }
   FrameCall(&call, args);
 
-  auto [it, inserted] = pending_.emplace(call.xid, std::move(call));
-  (void)inserted;
+  auto free_slot = std::find_if(calls_.begin(), calls_.end(),
+                                [](const PendingCall& slot) { return slot.xid == 0; });
+  PendingCall& slot = free_slot != calls_.end() ? *free_slot : calls_.emplace_back();
+  slot = std::move(call);
+  ++in_flight_;
   g_in_flight_->Add(1);
-  Transmit(&it->second);
-  m_window_occupancy_sum_->Increment(pending_.size());
+  Transmit(&slot);
+  m_window_occupancy_sum_->Increment(in_flight_);
   m_window_samples_->Increment();
 }
 
 void Client::Drain() {
-  while (!pending_.empty()) {
+  while (in_flight_ != 0) {
     PumpOnce();
   }
 }
 
 void Client::PumpOnce() {
-  if (!pending_.empty()) {
+  if (in_flight_ != 0) {
     clock_->events()->RunOne();
   }
 }
 
 void Client::OnRetransmitTimer(uint32_t xid) {
-  auto it = pending_.find(xid);
-  if (it == pending_.end()) {
+  PendingCall* pending = FindCall(xid);
+  if (pending == nullptr) {
     return;  // Completed in the same dispatch round; timer raced the cancel.
   }
-  PendingCall& call = it->second;
+  PendingCall& call = *pending;
   call.timer_id = 0;  // This timer just fired; Transmit re-arms.
   const sim::RetryPolicy& policy = link_->retry_policy();
   if (call.attempt + 1 >= std::max<uint32_t>(policy.max_transmissions, 1)) {
@@ -534,35 +576,47 @@ void Client::OnDelivery(sim::Delivery delivery) {
   }
 
   const CallSpanFn call_span = [this](uint32_t seqno) {
-    auto it = pending_.find(seqno);
-    obs::Span* s = it == pending_.end() ? nullptr : spans_->Find(it->second.span_id);
+    const PendingCall* call = FindCall(seqno);
+    obs::Span* s = call == nullptr ? nullptr : spans_->Find(call->span_id);
     return s != nullptr ? s->context() : obs::SpanContext{};
   };
-  for (util::Result<util::Bytes>& reply :
-       transport_->Unframe(std::move(delivery.response), call_span)) {
+  // Moved out of the member while in use, so a delivery nested in a
+  // callback (one that pumps the loop) gets a vector of its own.
+  std::vector<util::Result<util::Bytes>> replies = std::move(unframed_);
+  replies.clear();
+  transport_->Unframe(std::move(delivery.response), call_span, &replies);
+  for (util::Result<util::Bytes>& reply : replies) {
     // Discarded unread (the call's timer resends, and the server's DRC
     // replays the intact reply), unparseable, or wanted by no outstanding
     // call: a late duplicate of an already completed call (a retransmit
     // raced the reply), or the reply of a call that gave up.  Counted,
-    // not silent.
+    // not silent.  The xid is read first, so a reply no call wants is
+    // never decoded.
+    const util::Result<uint32_t> xid =
+        reply.ok() ? xdr::PeekUint32(reply.value(), 0) : reply.status();
     util::Result<util::Bytes> outcome = util::Unavailable("RPC: no reply");
-    util::Result<uint32_t> reply_xid =
-        reply.ok() ? ParseReply(std::move(reply).value(), &outcome) : reply.status();
-    if (!reply_xid.ok() || pending_.count(reply_xid.value()) == 0) {
+    if (!xid.ok() || FindCall(xid.value()) == nullptr ||
+        !ParseReply(std::move(reply).value(), &outcome).ok()) {
       m_unmatched_replies_->Increment();
       continue;
     }
-    Complete(reply_xid.value(), std::move(outcome));
+    Complete(xid.value(), std::move(outcome));
   }
+  replies.clear();  // Frees the bytes of replies no call took.
+  unframed_ = std::move(replies);
 }
 
 void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
-  auto it = pending_.find(xid);
-  if (it == pending_.end()) {
+  PendingCall* pending = FindCall(xid);
+  if (pending == nullptr) {
     return;
   }
-  PendingCall call = std::move(it->second);
-  pending_.erase(it);
+  PendingCall call = std::move(*pending);
+  *pending = PendingCall{};
+  if (--in_flight_ == 0) {
+    // Idle: the slots are not kept past a burst of calls.
+    calls_ = std::vector<PendingCall>();
+  }
   g_in_flight_->Add(-1);
   if (call.timer_id != 0) {
     // The reply beat the retransmission timer; cancel it so it neither

@@ -38,9 +38,15 @@
 // server takes, and is resent from above the link only when the reply in
 // hand is stale.  set_window(n > 1) keeps up to n calls in flight over
 // Link::Submit, overlapping their round trips; replies arrive through the
-// link's delivery sink, possibly out of order (the xid map reassociates
-// them), and each in-flight call arms one cancellable retransmission
-// timer on the clock's EventQueue that resends the identical wire bytes.
+// link's delivery sink, possibly out of order (each is matched to its
+// call by xid), and each in-flight call arms one cancellable
+// retransmission timer on the clock's EventQueue that resends the
+// identical wire bytes.
+//
+// Message bytes move rather than copy: a call body is framed in its own
+// buffer, the server opens and parses a request in the buffer the link
+// delivered, and a reply's results are cut out of the reply in place
+// (DESIGN.md, "Message bytes").
 #ifndef SFS_SRC_RPC_RPC_H_
 #define SFS_SRC_RPC_RPC_H_
 
@@ -92,10 +98,11 @@ class ServerCodec {
 
   // Reads the request's cleartext wire seqno and nothing else.
   virtual util::Result<uint32_t> Seqno(const util::Bytes& request) = 0;
-  // Decodes a request the DRC did not answer.  An empty body defers it:
-  // the Dispatcher answers with an empty message, executes nothing and
-  // caches nothing.
-  virtual util::Result<util::Bytes> Open(const util::Bytes& request) = 0;
+  // Decodes a request the DRC did not answer, in the request's own
+  // buffer where the format allows.  An empty body defers it: the
+  // Dispatcher answers with an empty message, executes nothing and caches
+  // nothing.
+  virtual util::Result<util::Bytes> Open(util::Bytes request) = 0;
   // Encodes the reply to the fresh request `seqno`; runs once per fresh
   // request, and the DRC replays the result to retransmitted copies.
   virtual util::Bytes Seal(uint32_t seqno, util::Bytes reply) = 0;
@@ -113,7 +120,7 @@ class PlainServerCodec : public ServerCodec {
  public:
   PlainServerCodec() : ServerCodec("rpc.dispatch.", "rpc.drc_hit") {}
   util::Result<uint32_t> Seqno(const util::Bytes& request) override;
-  util::Result<util::Bytes> Open(const util::Bytes& request) override;
+  util::Result<util::Bytes> Open(util::Bytes request) override;
   util::Bytes Seal(uint32_t, util::Bytes reply) override { return reply; }
 };
 
@@ -135,7 +142,7 @@ class Dispatcher : public sim::Service {
   // sim::Service: answer from the duplicate-request cache, or open the
   // call, dispatch it and seal the reply.  Cache answers count in the
   // registry's server.drc_hits.
-  util::Result<util::Bytes> Handle(const util::Bytes& request) override;
+  util::Result<util::Bytes> Handle(util::Bytes request) override;
 
  private:
   struct Program {
@@ -148,6 +155,8 @@ class Dispatcher : public sim::Service {
   // An executed request's wire reply, replayed verbatim to retransmitted
   // copies, and its trace context, which parents their drc-hit spans.
   struct DrcEntry {
+    bool cached = false;
+    uint32_t seqno = 0;
     util::Bytes reply;
     obs::SpanContext ctx;
   };
@@ -158,8 +167,12 @@ class Dispatcher : public sim::Service {
   ServerCodec* codec_;
   std::map<uint32_t, Program> programs_;
 
-  // Duplicate-request cache, keyed by wire seqno.
-  std::map<uint32_t, DrcEntry> drc_;
+  // Duplicate-request cache: a ring of kDrcWindow entries indexed by
+  // (seqno - 1) mod kDrcWindow, grown to the highest index used.  Seqnos
+  // within the window of drc_max_seqno_ differ mod kDrcWindow, so each
+  // holds its own slot; one below the window is refused before the ring
+  // is read.
+  std::vector<DrcEntry> drc_;
   uint32_t drc_max_seqno_ = 0;
 
   obs::Registry* registry_;
@@ -187,17 +200,17 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  // Encodes one call body under its wire seqno.  Runs once per call:
-  // retransmissions resend the returned bytes verbatim.  The call's span
-  // is ambient.
-  virtual util::Bytes Frame(uint32_t seqno, const util::Bytes& body) = 0;
+  // Encodes one call body under its wire seqno, in the body's own buffer
+  // where the format allows.  Runs once per call: retransmissions resend
+  // the returned bytes verbatim.  The call's span is ambient.
+  virtual util::Bytes Frame(uint32_t seqno, util::Bytes body) = 0;
 
-  // Decodes one arriving message into the reply bodies it releases, in
-  // processing order.  An error entry is a message discarded unread
-  // (stale, malformed, or failing to open); the Client counts it as an
-  // unmatched reply.
-  virtual std::vector<util::Result<util::Bytes>> Unframe(util::Bytes message,
-                                                         const CallSpanFn& call_span) = 0;
+  // Decodes one arriving message and appends the reply bodies it
+  // releases to `replies`, in processing order.  An error entry is a
+  // message discarded unread (stale, malformed, or failing to open); the
+  // Client counts it as an unmatched reply.
+  virtual void Unframe(util::Bytes message, const CallSpanFn& call_span,
+                       std::vector<util::Result<util::Bytes>>* replies) = 0;
 
   sim::Link* link() const { return link_; }
   const char* call_span_prefix() const { return call_span_prefix_; }
@@ -213,9 +226,9 @@ class Transport {
 class LinkTransport : public Transport {
  public:
   explicit LinkTransport(sim::Link* link) : Transport(link, "rpc.call.", "rpc") {}
-  util::Bytes Frame(uint32_t seqno, const util::Bytes& body) override;
-  std::vector<util::Result<util::Bytes>> Unframe(util::Bytes message,
-                                                 const CallSpanFn& call_span) override;
+  util::Bytes Frame(uint32_t seqno, util::Bytes body) override;
+  void Unframe(util::Bytes message, const CallSpanFn& call_span,
+               std::vector<util::Result<util::Bytes>>* replies) override;
 };
 
 class Client {
@@ -253,8 +266,10 @@ class Client {
   }
 
   // Completion for an asynchronous call: the decoded results, or the
-  // transport/handler error.  Runs inside a later event dispatch.
-  using Callback = std::function<void(util::Result<util::Bytes>)>;
+  // transport/handler error.  Runs inside a later event dispatch.  Held
+  // inline while the call is pending, so a closure within
+  // sim::InlineFn's budget costs no allocation.
+  using Callback = sim::InlineFn<void(util::Result<util::Bytes>)>;
 
   // Starts a call without waiting for its reply.  If the window is full,
   // blocks (running the event loop) until a slot frees; the wait is
@@ -278,7 +293,7 @@ class Client {
   // pipeline up to `window` concurrent calls.  Clamped to kMaxSendWindow.
   void set_window(uint32_t window);
   uint32_t window() const { return window_; }
-  uint64_t in_flight() const { return pending_.size(); }
+  uint64_t in_flight() const { return in_flight_; }
 
  private:
   struct ProgramState {
@@ -288,10 +303,9 @@ class Client {
   };
 
   struct PendingCall {
-    uint32_t xid = 0;  // Also the wire seqno: both advance together.
+    uint32_t xid = 0;  // Also the wire seqno: both advance together.  0 = free slot.
     uint32_t prog = 0;
     uint32_t proc = 0;
-    std::string proc_name;
     util::Bytes wire;  // Framed once; retransmissions resend these bytes.
     uint64_t t_call_ns = 0;
     uint64_t rto_ns = 0;
@@ -303,8 +317,13 @@ class Client {
   };
 
   ProgramState* ProgramFor(uint32_t prog);
-  // Assigns the next xid and starts the call's per-procedure accounting.
-  PendingCall NewCall(uint32_t prog, uint32_t proc);
+  // The outstanding call `xid`, or null.
+  PendingCall* FindCall(uint32_t xid);
+  // Smallest outstanding xid; next_xid_ when none is outstanding.
+  uint32_t OldestXid() const;
+  // Assigns the next xid and starts the call's per-procedure accounting;
+  // `*proc_name` receives the name its span is called by.
+  PendingCall NewCall(uint32_t prog, uint32_t proc, std::string* proc_name);
   // Encodes the call body (with the open span's trace context) and has
   // the transport frame it into call->wire.
   void FrameCall(PendingCall* call, const util::Bytes& args);
@@ -328,10 +347,16 @@ class Client {
   uint32_t next_xid_ = 1;
   uint32_t window_ = 1;
 
-  // Outstanding pipelined calls by xid.  Each transmission is submitted
-  // with its xid as the link tag, so a service-level error delivery names
-  // its call directly.
-  std::map<uint32_t, PendingCall> pending_;
+  // Outstanding pipelined calls, one per slot, found by xid.  A window
+  // holds at most kMaxSendWindow calls, so a scan is as fast as a tree;
+  // a burst of calls reuses its slots, which are released when the
+  // client goes idle.  Each transmission is submitted with its xid as the
+  // link tag, so a service-level error delivery names its call directly.
+  std::vector<PendingCall> calls_;
+  uint32_t in_flight_ = 0;
+  // Reply bodies of the message being processed; kept so its capacity is
+  // reused from one delivery to the next.
+  std::vector<util::Result<util::Bytes>> unframed_;
   // Retransmission timers still armed; cancelled at destruction.
   sim::EventGroup timers_;
 

@@ -143,13 +143,13 @@ ServerConnection::~ServerConnection() {
   }
 }
 
-util::Result<util::Bytes> ServerConnection::Handle(const util::Bytes& request) {
+util::Result<util::Bytes> ServerConnection::Handle(util::Bytes request) {
   if (state_ == State::kDead) {
     return util::Unavailable("connection closed");
   }
   // Sealed RPCs go to the dispatcher whole: its codec reads the frame.
   if (auto type = xdr::PeekUint32(request, 0); type.ok() && type.value() == kMsgEncrypted) {
-    return HandleEncrypted(request);
+    return HandleEncrypted(std::move(request));
   }
   xdr::Decoder dec(request);
   auto type = dec.GetUint32();
@@ -163,7 +163,7 @@ util::Result<util::Bytes> ServerConnection::Handle(const util::Bytes& request) {
   // are idempotent reads, so redelivered copies may simply re-execute.)
   if (ro_delegate_ != nullptr && (type.value() == readonly::kMsgRoGetRoot ||
                                   type.value() == readonly::kMsgRoGetNode)) {
-    return ro_delegate_->Handle(request);
+    return ro_delegate_->Handle(std::move(request));
   }
   switch (type.value()) {
     case kMsgConnect:
@@ -303,14 +303,14 @@ util::Result<util::Bytes> ServerConnection::HandleNegotiate(const util::Bytes& p
   return FrameMessage(kMsgNegotiate, reply.Take());
 }
 
-util::Result<util::Bytes> ServerConnection::HandleEncrypted(const util::Bytes& request) {
+util::Result<util::Bytes> ServerConnection::HandleEncrypted(util::Bytes request) {
   if (dispatcher_ == nullptr) {
     state_ = State::kDead;
     return util::FailedPrecondition("encrypted message before negotiation");
   }
   // User-level server daemon: two kernel crossings per request, DRC hits too.
   server_->costs_->ChargeCrossing(server_->clock_, 2);
-  auto reply = dispatcher_->Handle(request);
+  auto reply = dispatcher_->Handle(std::move(request));
   if (!reply.ok()) {
     state_ = State::kDead;  // Malformed, tampered or forged: kill the session.
   }

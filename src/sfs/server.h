@@ -165,14 +165,14 @@ class ServerConnection : public sim::Service {
   // per-connection epoch closes with the stream.
   ~ServerConnection() override;
 
-  util::Result<util::Bytes> Handle(const util::Bytes& request) override;
+  util::Result<util::Bytes> Handle(util::Bytes request) override;
 
  private:
   enum class State { kAwaitConnect, kAwaitNegotiate, kEstablished, kDead };
 
   util::Result<util::Bytes> HandleConnect(const util::Bytes& payload);
   util::Result<util::Bytes> HandleNegotiate(const util::Bytes& payload);
-  util::Result<util::Bytes> HandleEncrypted(const util::Bytes& request);
+  util::Result<util::Bytes> HandleEncrypted(util::Bytes request);
   util::Result<util::Bytes> HandleSrpStart(const util::Bytes& payload);
   util::Result<util::Bytes> HandleSrpFinish(const util::Bytes& payload);
 

@@ -70,13 +70,15 @@ util::Bytes SealFrame(ChannelCipher* cipher, sim::Clock* clock, const sim::CostM
   return frame;
 }
 
-// Returns the frame's seqno and copies its body into `body`: the one copy
-// a received message gets before Open decrypts it in place.  Runs every
-// check of Unframe(kMsgEncrypted, message) and of the payload's {seqno,
-// opaque} decode, in the same order and with the same status codes: a
-// fault in the connection frame's XDR is kInvalidArgument, and any other
-// malformation kSecurityError.
-util::Result<uint32_t> UnframeSealed(const util::Bytes& message, util::Bytes* body) {
+// Returns the frame's seqno and cuts `*frame` down to its body in place,
+// which Open then decrypts in place: a received message is never copied.
+// Runs every check of Unframe(kMsgEncrypted, message) and of the
+// payload's {seqno, opaque} decode, in the same order and with the same
+// status codes: a fault in the connection frame's XDR is
+// kInvalidArgument, and any other malformation kSecurityError.  A
+// failing frame is left as it was.
+util::Result<uint32_t> UnframeSealed(util::Bytes* frame) {
+  const util::Bytes& message = *frame;
   ASSIGN_OR_RETURN(const uint32_t type, xdr::PeekUint32(message, 0));
   ASSIGN_OR_RETURN(const uint32_t payload_len, xdr::PeekUint32(message, 4));
   if (payload_len > xdr::kMaxOpaque) {
@@ -109,8 +111,7 @@ util::Result<uint32_t> UnframeSealed(const util::Bytes& message, util::Bytes* bo
       return util::SecurityError("malformed channel frame");
     }
   }
-  const auto begin = message.begin() + kFrameHeaderSize;
-  body->assign(begin, begin + len);
+  *frame = xdr::KeepRange(std::move(*frame), xdr::Range{kFrameHeaderSize, len});
   return seqno;
 }
 
@@ -214,7 +215,7 @@ ChannelTransport::ChannelTransport(sim::Link* link, const sim::CostModel* costs,
       seal_(std::move(seal)),
       open_(std::move(open)) {}
 
-util::Bytes ChannelTransport::Frame(uint32_t seqno, const util::Bytes& body) {
+util::Bytes ChannelTransport::Frame(uint32_t seqno, util::Bytes body) {
   // User-level client daemon: two kernel crossings, then seal.
   sim::Clock* clock = link()->clock();
   costs_->ChargeCrossing(clock, 2);
@@ -222,29 +223,27 @@ util::Bytes ChannelTransport::Frame(uint32_t seqno, const util::Bytes& body) {
   return SealFrame(seal_.get(), clock, costs_, spans_, "sfs.chan", seqno, body);
 }
 
-std::vector<util::Result<util::Bytes>> ChannelTransport::Unframe(
-    util::Bytes message, const rpc::CallSpanFn& call_span) {
-  std::vector<util::Result<util::Bytes>> replies;
+void ChannelTransport::Unframe(util::Bytes message, const rpc::CallSpanFn& call_span,
+                               std::vector<util::Result<util::Bytes>>* replies) {
   // The reply frame echoes the request's wire seqno in cleartext, so a
   // stale duplicate is caught before the cipher is touched.  An empty
   // message (the server deferring a request that arrived ahead of its
   // turn) fails to unframe and is discarded.
-  util::Bytes sealed;
-  auto seqno = UnframeSealed(message, &sealed);
+  auto seqno = UnframeSealed(&message);
   if (!seqno.ok()) {
-    replies.push_back(seqno.status());
-    return replies;
+    replies->push_back(seqno.status());
+    return;
   }
   if (seqno.value() < next_open_ || seqno.value() > last_framed_) {
     // A duplicate of a reply already opened, or a seqno never sent.
-    replies.push_back(
+    replies->push_back(
         util::Unavailable("stale reply for seqno " + std::to_string(seqno.value())));
-    return replies;
+    return;
   }
   // Hold the sealed body and open as far as the in-order cursor allows.
   // A duplicate overwrites with identical bytes (the server's DRC replays
   // the frame verbatim), so the overwrite is harmless.
-  held_[seqno.value()] = std::move(sealed);
+  held_[seqno.value()] = std::move(message);
   for (auto it = held_.find(next_open_); it != held_.end(); it = held_.find(next_open_)) {
     auto body = OpenBody(open_.get(), link()->clock(), costs_, spans_, "sfs.chan",
                          call_span(next_open_), std::move(it->second));
@@ -253,13 +252,12 @@ std::vector<util::Result<util::Bytes>> ChannelTransport::Unframe(
       // Tampered or corrupt at the expected keystream position (or a
       // stale copy).  Open left the stream untouched; the call's resend
       // brings the server's DRC replay of the genuine sealed bytes.
-      replies.push_back(body.status());
-      return replies;
+      replies->push_back(body.status());
+      return;
     }
     ++next_open_;
-    replies.push_back(std::move(body));
+    replies->push_back(std::move(body));
   }
-  return replies;
 }
 
 ChannelServerCodec::ChannelServerCodec(sim::Clock* clock, const sim::CostModel* costs,
@@ -277,9 +275,8 @@ util::Result<uint32_t> ChannelServerCodec::Seqno(const util::Bytes& request) {
   return xdr::PeekUint32(request, kFrameSeqnoOffset);
 }
 
-util::Result<util::Bytes> ChannelServerCodec::Open(const util::Bytes& request) {
-  util::Bytes sealed;
-  ASSIGN_OR_RETURN(const uint32_t seqno, UnframeSealed(request, &sealed));
+util::Result<util::Bytes> ChannelServerCodec::Open(util::Bytes request) {
+  ASSIGN_OR_RETURN(const uint32_t seqno, UnframeSealed(&request));
   if (seqno > next_open_) {
     // Sealed at a later keystream position than the cursor, so it would
     // fail the MAC now: defer it until the gap fills.
@@ -290,7 +287,7 @@ util::Result<util::Bytes> ChannelServerCodec::Open(const util::Bytes& request) {
     return util::SecurityError("channel seqno behind the receive cursor");
   }
   ASSIGN_OR_RETURN(util::Bytes body, OpenBody(open_.get(), clock_, costs_, spans_, "server",
-                                              spans_->current(), std::move(sealed)));
+                                              spans_->current(), std::move(request)));
   if (body.empty()) {
     // No call body is empty, and an empty one would read as deferred.
     return util::SecurityError("empty channel message");

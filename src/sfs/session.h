@@ -87,9 +87,9 @@ class ChannelTransport : public rpc::Transport {
                    std::unique_ptr<ChannelCipher> seal, std::unique_ptr<ChannelCipher> open);
 
   // Charges the client daemon's two kernel crossings, then seals.
-  util::Bytes Frame(uint32_t seqno, const util::Bytes& body) override;
-  std::vector<util::Result<util::Bytes>> Unframe(util::Bytes message,
-                                                 const rpc::CallSpanFn& call_span) override;
+  util::Bytes Frame(uint32_t seqno, util::Bytes body) override;
+  void Unframe(util::Bytes message, const rpc::CallSpanFn& call_span,
+               std::vector<util::Result<util::Bytes>>* replies) override;
 
  private:
   const sim::CostModel* costs_;
@@ -115,7 +115,7 @@ class ChannelServerCodec : public rpc::ServerCodec {
                      std::unique_ptr<ChannelCipher> seal, std::unique_ptr<ChannelCipher> open);
 
   util::Result<uint32_t> Seqno(const util::Bytes& request) override;
-  util::Result<util::Bytes> Open(const util::Bytes& request) override;
+  util::Result<util::Bytes> Open(util::Bytes request) override;
   util::Bytes Seal(uint32_t seqno, util::Bytes reply) override;
 
   // The seqno of the request opened last: the one being dispatched.

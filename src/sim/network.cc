@@ -29,8 +29,8 @@ void Host::Arrive(util::Bytes request, obs::SpanContext ctx, ResponseFn respond,
     StartService(std::move(job));
     return;
   }
-  if (queue_.size() < options_.queue_depth) {
-    queue_.push_back(std::move(job));
+  if (queue_size_ < options_.queue_depth) {
+    PushJob(std::move(job));
     g_queue_len_->Add(1);
     return;
   }
@@ -42,6 +42,34 @@ void Host::Arrive(util::Bytes request, obs::SpanContext ctx, ResponseFn respond,
   if (shed) {
     shed();
   }
+}
+
+void Host::PushJob(Job job) {
+  if (queue_size_ == queue_.size()) {
+    ResizeQueue(std::max<size_t>(2 * queue_.size(), kMinQueueSlots));
+  }
+  queue_[(queue_head_ + queue_size_) % queue_.size()] = std::move(job);
+  ++queue_size_;
+}
+
+Host::Job Host::PopJob() {
+  Job job = std::move(queue_[queue_head_]);
+  queue_head_ = (queue_head_ + 1) % queue_.size();
+  --queue_size_;
+  if (queue_.size() > kMinQueueSlots && queue_size_ <= queue_.size() / 4) {
+    ResizeQueue(queue_.size() / 2);
+  }
+  return job;
+}
+
+void Host::ResizeQueue(size_t slots) {
+  // The jobs move, oldest first, to the front of the new ring.
+  std::vector<Job> resized(slots);
+  for (size_t i = 0; i < queue_size_; ++i) {
+    resized[i] = std::move(queue_[(queue_head_ + i) % queue_.size()]);
+  }
+  queue_ = std::move(resized);
+  queue_head_ = 0;
 }
 
 void Host::StartService(Job job) {
@@ -79,7 +107,7 @@ void Host::StartService(Job job) {
   }
   clock_->BeginMeasureFrame();
   Service* service = job.service != nullptr ? job.service : service_;
-  auto result = service->Handle(job.request);
+  auto result = service->Handle(std::move(job.request));
   const Clock::CategorySnapshot frame = clock_->EndMeasureFrame();
   if (spans_on) {
     spans.SwapStack(std::move(saved_stack));
@@ -114,9 +142,8 @@ void Host::FinishService(uint32_t index) {
 }
 
 void Host::StartQueued() {
-  while (!queue_.empty() && in_service_ < options_.concurrency) {
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
+  while (queue_size_ != 0 && in_service_ < options_.concurrency) {
+    Job job = PopJob();
     g_queue_len_->Add(-1);
     if (Orphaned(job.connection_alive)) {
       // Its connection was torn down while it waited, and the
@@ -354,7 +381,11 @@ util::Result<util::Bytes> Link::Roundtrip(const util::Bytes& request) {
     }
     ChargeOneWay(wire_request.size(), "link.send");
 
-    auto response = service_->Handle(wire_request);
+    // The service takes the bytes; an interposer may still duplicate the
+    // request, so with one installed the service gets a copy.
+    const size_t request_bytes = wire_request.size();
+    auto response = interposer_ != nullptr ? service_->Handle(wire_request)
+                                           : service_->Handle(std::move(wire_request));
     if (!response.ok()) {
       // An error from the service itself (dead connection, bad message)
       // is not transit loss; retrying the same bytes cannot help.
@@ -366,8 +397,8 @@ util::Result<util::Bytes> Link::Roundtrip(const util::Bytes& request) {
       // The network delivers a second copy of the request.  The service
       // must deduplicate; its reply to the copy finds no one waiting.
       m_duplicates_->Increment();
-      ChargeOneWay(wire_request.size(), "link.send.dup");
-      (void)service_->Handle(wire_request);
+      ChargeOneWay(request_bytes, "link.send.dup");
+      (void)service_->Handle(std::move(wire_request));
     }
 
     if (interposer_ != nullptr) {

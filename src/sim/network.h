@@ -29,7 +29,6 @@
 #define SFS_SRC_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -57,10 +56,12 @@ struct Delivery {
 };
 
 // A request handler on the far side of a link ("the server machine").
+// The request's bytes are the service's to keep or rewrite: a host hands
+// over the copy that crossed the wire, so a service decodes in place.
 class Service {
  public:
   virtual ~Service() = default;
-  virtual util::Result<util::Bytes> Handle(const util::Bytes& request) = 0;
+  virtual util::Result<util::Bytes> Handle(util::Bytes request) = 0;
 };
 
 // Adversary hook: sees (and may rewrite, drop, or fabricate) every
@@ -220,7 +221,7 @@ class Host {
   uint64_t arrivals() const { return arrivals_; }
   uint64_t shed_count() const { return shed_; }
   uint32_t in_service() const { return in_service_; }
-  size_t queue_length() const { return queue_.size(); }
+  size_t queue_length() const { return queue_size_; }
 
  private:
   struct Job {
@@ -251,10 +252,21 @@ class Host {
   // Starts queued jobs while a service slot is free, dropping orphans.
   void StartQueued();
 
+  // Admission queue as a ring over queue_: queue_size_ jobs starting at
+  // queue_head_.  It doubles when full and halves when a quarter full, so
+  // a steady stream of arrivals allocates nothing and a drained burst
+  // does not keep its memory.
+  static constexpr size_t kMinQueueSlots = 8;
+  void PushJob(Job job);
+  Job PopJob();
+  void ResizeQueue(size_t slots);
+
   Clock* clock_;
   Service* service_;
   Options options_;
-  std::deque<Job> queue_;
+  std::vector<Job> queue_;
+  size_t queue_head_ = 0;
+  size_t queue_size_ = 0;
   std::vector<Running> running_;
   std::vector<uint32_t> free_running_;  // Indices of idle running_ entries.
   // Completion events still scheduled; cancelled at destruction so a

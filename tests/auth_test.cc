@@ -276,6 +276,27 @@ TEST(AgentTest, RevocationRequiresValidCertificate) {
   EXPECT_FALSE(agent.AddRevocation(forward).ok());
 }
 
+TEST(RevocationCertTest, CorrectlySignedCertificateWithoutALocationIsRefused) {
+  // Signed by the key it names, over an empty location: the signature
+  // holds, so only Verify's location check refuses it.  A path needs a
+  // Location, and a certificate that names none revokes nothing.
+  auto key = MakeKey(22);
+  const sfs::PathRevokeCert named = sfs::PathRevokeCert::MakeRevocation(key, "host.example.com");
+  ASSERT_TRUE(named.Verify().ok()) << named.Verify().ToString();
+  const sfs::PathRevokeCert revocation = sfs::PathRevokeCert::MakeRevocation(key, "");
+  const sfs::PathRevokeCert forward = sfs::PathRevokeCert::MakeForwardingPointer(
+      key, "", sfs::SelfCertifyingPath::For("new.example.com", MakeKey(23).public_key()));
+  for (const sfs::PathRevokeCert* cert : {&revocation, &forward}) {
+    EXPECT_EQ(cert->Verify().code(), util::ErrorCode::kSecurityError);
+    // As it would arrive from the wire: it parses, and is still refused.
+    auto wire = sfs::PathRevokeCert::Deserialize(cert->Serialize());
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    EXPECT_EQ(wire->Verify().code(), util::ErrorCode::kSecurityError);
+    Agent agent("alice");
+    EXPECT_FALSE(agent.AddRevocation(*wire).ok());
+  }
+}
+
 TEST(AgentTest, BlockingIsIndependentOfRevocation) {
   Agent agent("alice");
   auto key = MakeKey(20);

@@ -3,8 +3,9 @@
 // Layer one pins the EventQueue itself: deterministic FIFO among equal
 // timestamps, cancellation that neither runs nor charges, ids that go
 // stale when their slot is reused, closures that run (or die) exactly
-// once, and an allocation budget: warm Schedule/Cancel/RunOne cycles
-// allocate nothing for closures within EventFn's inline size.  Layer two
+// once, and allocation budgets: warm Schedule/Cancel/RunOne cycles
+// allocate nothing for closures within EventFn's inline size, and a warm
+// pipelined plain-RPC call allocates only for its message bytes.  Layer two
 // pins the Host admission pipeline (bounded queue, shedding, retransmit
 // recovery) and the sim::Link regressions fixed alongside it: error
 // verdicts that used to skip the downlink leg, duplicate deliveries that
@@ -300,6 +301,62 @@ TEST(EventQueueTest, WarmCyclesAllocateOnlyForOversizedClosures) {
   EXPECT_TRUE(events->empty());
 }
 
+TEST(AllocationBudgetTest, WarmPipelinedPlainCallAllocatesFiveTimes) {
+  // A plain-RPC call at window 4 over sim::Link, a shared sim::Host and an
+  // rpc::Dispatcher, the fleet's path, on a clean link.  Its message
+  // bytes cost five allocations: the client's call body (framed in
+  // place), the copy the link carries (the client keeps its own for
+  // retransmission), the echo handler's results, the reply body and the
+  // duplicate-request cache's copy.  Everything else (the pending-call
+  // slot, the callback, the host's queue slot, the events, the reply
+  // parse) is reused or stored inline.
+  sim::Clock clock;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [](uint32_t, const Bytes& args) {
+    return util::Result<Bytes>(args);
+  });
+  sim::Host host(&clock, &dispatcher, &registry);
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &host, &registry);
+  // A cancelled retransmission timer keeps its event slot until its
+  // deadline passes, so the event pool grows for one RTO of virtual time.
+  // A short RTO (still far above the round trip) keeps the warm-up short.
+  sim::RetryPolicy policy;
+  policy.initial_rto_ns = 10'000'000;
+  link.set_retry_policy(policy);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
+  client.set_window(4);
+
+  const Bytes args = BytesOf("a warm pipelined call");
+  uint64_t completions = 0;
+  auto issue = [&](uint64_t calls) {
+    for (uint64_t i = 0; i < calls; ++i) {
+      client.CallAsync(1, args, [&completions, &args](util::Result<Bytes> reply) {
+        completions += reply.ok() && reply.value() == args ? 1 : 0;
+      });
+    }
+  };
+  // Past the growth of the duplicate-request ring, the event pool and
+  // every queue on the path.
+  constexpr uint64_t kWarm = 2'000;
+  constexpr uint64_t kCalls = 1'000;
+  issue(kWarm);
+  // The window stays full from here on, so no slot is released or
+  // regrown; the count is read with the same calls in flight as at its
+  // start.
+  const uint64_t before = g_allocations.load();
+  issue(kCalls);
+  const uint64_t allocations = g_allocations.load() - before;
+  client.Drain();
+
+  EXPECT_EQ(completions, kWarm + kCalls);
+  EXPECT_EQ(allocations, 5 * kCalls) << "allocations per warm pipelined call: "
+                                     << static_cast<double>(allocations) / kCalls;
+  EXPECT_EQ(registry.CounterValue("link.retransmissions"), 0u);
+  ExpectLedgerBalanced(clock);
+}
+
 // --- Host admission queue --------------------------------------------------
 
 TEST(HostTest, BoundedQueueShedsAndRetransmissionRecovers) {
@@ -359,7 +416,7 @@ class FixedCostEcho : public sim::Service {
  public:
   FixedCostEcho(sim::Clock* clock, uint64_t service_ns)
       : clock_(clock), service_ns_(service_ns) {}
-  util::Result<Bytes> Handle(const Bytes& request) override {
+  util::Result<Bytes> Handle(Bytes request) override {
     clock_->Advance(service_ns_, TimeCategory::kCpu);
     return util::Result<Bytes>(request);
   }
@@ -575,11 +632,11 @@ TEST(TeardownTest, EachOwnerCancelsExactlyItsOwnEvents) {
 class FailOneSeqno : public sim::Service {
  public:
   FailOneSeqno(sim::Service* inner, uint32_t doomed) : inner_(inner), doomed_(doomed) {}
-  util::Result<Bytes> Handle(const Bytes& request) override {
+  util::Result<Bytes> Handle(Bytes request) override {
     if (xdr::PeekUint32(request, 4).value() == doomed_) {
       return util::Unavailable("connection torn down");
     }
-    return inner_->Handle(request);
+    return inner_->Handle(std::move(request));
   }
 
  private:
@@ -653,7 +710,7 @@ TEST(ClientTest, ServiceVerdictCompletesTheCallItsTransmissionCarried) {
 class VerdictService : public sim::Service {
  public:
   explicit VerdictService(sim::Clock* clock) : clock_(clock) {}
-  util::Result<Bytes> Handle(const Bytes& request) override {
+  util::Result<Bytes> Handle(Bytes request) override {
     clock_->Advance(100'000, TimeCategory::kCpu);
     if (util::StringOf(request) == "fail") {
       return util::Unavailable("connection torn down");

@@ -6,6 +6,7 @@
 // answered from the server's duplicate-request cache, never re-executed.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -468,6 +469,144 @@ TEST(RpcFaultTest, CleanLinkNeverRetransmits) {
   EXPECT_EQ(registry.CounterValue("link.retransmissions"), 0u);
   EXPECT_EQ(registry.CounterValue("rpc.client.stale_retries"), 0u);
   EXPECT_EQ(registry.CounterValue("server.drc_hits"), 0u);
+}
+
+// Replaces every reply with one crafted from the xid of the call it
+// answers.
+class CraftedReplyInterposer : public sim::Interposer {
+ public:
+  explicit CraftedReplyInterposer(std::function<Bytes(uint32_t xid)> craft)
+      : craft_(std::move(craft)) {}
+  util::Result<Bytes> OnResponse(Bytes response) override {
+    return craft_(xdr::PeekUint32(response, 0).value());
+  }
+
+ private:
+  std::function<Bytes(uint32_t xid)> craft_;
+};
+
+// The plain reply parser, pinned: each check answers with its own status
+// at window 1 (stop-and-wait, which reports the last discard's reason
+// when it gives up) and at window 4 (the pipelined engine, which counts
+// the discard and waits for its timer), and a discarded reply counts as
+// unmatched once per transmission.  A call sends twice before giving up.
+TEST(RpcReplyTest, EveryParserCheckAnswersWithItsStatus) {
+  using util::ErrorCode;
+  constexpr uint32_t kAccepted = 0;
+  constexpr uint32_t kError = 1;
+  constexpr uint32_t kTransmissions = 2;
+  auto words = [](std::initializer_list<uint32_t> values) {
+    xdr::Encoder enc;
+    for (uint32_t v : values) {
+      enc.PutUint32(v);
+    }
+    return enc.Take();
+  };
+  auto with = [](Bytes head, const std::string& tail) {
+    util::Append(&head, tail);
+    return head;
+  };
+  struct ReplyCase {
+    const char* name;
+    std::function<Bytes(uint32_t xid)> craft;
+    ErrorCode stop_and_wait;  // The call's status at window 1.
+    ErrorCode pipelined;      // The call's status at window 4.
+    const char* message;      // Part of the window-1 status message.
+    uint64_t unmatched;       // rpc.client.unmatched_replies after the call.
+  };
+  const ErrorCode kOk = ErrorCode::kOk;
+  const ErrorCode kBad = ErrorCode::kInvalidArgument;
+  const ErrorCode kLost = ErrorCode::kUnavailable;
+  const std::string ok("ok\0\0", 4);  // "ok" and its pad.
+  const std::vector<ReplyCase> cases = {
+      {"intact",
+       [&](uint32_t xid) { return with(words({xid, kAccepted, 2}), ok); },
+       kOk, kOk, "", 0},
+      {"three bytes",
+       [&](uint32_t xid) {
+         Bytes cut = words({xid});
+         cut.resize(3);
+         return cut;
+       },
+       kBad, kLost, "RPC: truncated reply", kTransmissions},
+      {"xid only",
+       [&](uint32_t xid) { return words({xid}); },
+       kBad, kLost, "RPC: truncated reply", kTransmissions},
+      {"status cut",
+       [&](uint32_t xid) { return with(words({xid}), "\0\0"); },
+       kBad, kLost, "RPC: truncated reply", kTransmissions},
+      {"length above kMaxOpaque",
+       [&](uint32_t xid) { return words({xid, kAccepted, xdr::kMaxOpaque + 1}); },
+       kBad, kLost, "RPC: malformed accepted reply", kTransmissions},
+      {"truncated body",
+       [&](uint32_t xid) { return with(words({xid, kAccepted, 8}), "abcd"); },
+       kBad, kLost, "RPC: malformed accepted reply", kTransmissions},
+      {"nonzero pad",
+       [&](uint32_t xid) { return with(words({xid, kAccepted, 3}), "abc\x01"); },
+       kBad, kLost, "RPC: malformed accepted reply", kTransmissions},
+      {"trailing bytes",
+       [&](uint32_t xid) { return with(words({xid, kAccepted, 4}), "abcdefgh"); },
+       kBad, kLost, "RPC: malformed accepted reply", kTransmissions},
+      {"no results",
+       [&](uint32_t xid) { return words({xid, kAccepted}); },
+       kBad, kLost, "RPC: malformed accepted reply", kTransmissions},
+      {"error, code in range",
+       [&](uint32_t xid) {
+         return with(words({xid, kError, static_cast<uint32_t>(ErrorCode::kNotFound), 4}), "boom");
+       },
+       ErrorCode::kNotFound, ErrorCode::kNotFound, "boom", 0},
+      {"error, code 0",
+       [&](uint32_t xid) { return with(words({xid, kError, 0, 4}), "boom"); },
+       ErrorCode::kInternal, ErrorCode::kInternal, "boom", 0},
+      {"error, code out of range",
+       [&](uint32_t xid) { return with(words({xid, kError, 999, 4}), "boom"); },
+       ErrorCode::kInternal, ErrorCode::kInternal, "boom", 0},
+      {"error, no code",
+       [&](uint32_t xid) { return words({xid, kError}); },
+       kBad, kLost, "RPC: malformed error reply", kTransmissions},
+      {"error, truncated message",
+       [&](uint32_t xid) { return with(words({xid, kError, 2, 8}), "boom"); },
+       kBad, kLost, "RPC: malformed error reply", kTransmissions},
+      {"stale xid",
+       [&](uint32_t xid) { return with(words({xid + 100, kAccepted, 2}), ok); },
+       kLost, kLost, "RPC: stale reply xid 101", kTransmissions},
+  };
+
+  for (const uint32_t window : {1u, 4u}) {
+    for (const ReplyCase& c : cases) {
+      const std::string where = "window " + std::to_string(window) + ", " + c.name;
+      sim::Clock clock;
+      obs::Registry registry;
+      rpc::Dispatcher dispatcher(&registry, &clock);
+      dispatcher.RegisterProgram(9, [](uint32_t, const Bytes& args) {
+        return util::Result<Bytes>(args);
+      });
+      sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, &registry);
+      sim::RetryPolicy policy;
+      policy.max_transmissions = kTransmissions;
+      link.set_retry_policy(policy);
+      CraftedReplyInterposer crafter(c.craft);
+      link.set_interposer(&crafter);
+      rpc::LinkTransport transport(&link);
+      rpc::Client client(&transport, 9, &registry);
+      client.set_window(window);
+
+      const util::Result<Bytes> reply = client.Call(1, BytesOf("call"));
+      const ErrorCode want = window == 1 ? c.stop_and_wait : c.pipelined;
+      EXPECT_EQ(reply.status().code(), want) << where << ": got " << reply.status().ToString();
+      if (reply.ok()) {
+        EXPECT_EQ(reply.value(), BytesOf("ok")) << where;
+      } else if (window == 1) {
+        EXPECT_NE(reply.status().message().find(c.message), std::string::npos)
+            << where << ": got " << reply.status().ToString();
+      } else if (want == kLost) {
+        EXPECT_EQ(reply.status().message(), "RPC: retry budget exhausted waiting for reply")
+            << where;
+      }
+      EXPECT_EQ(registry.CounterValue("rpc.client.unmatched_replies"), c.unmatched) << where;
+      EXPECT_EQ(client.in_flight(), 0u) << where;
+    }
+  }
 }
 
 }  // namespace

@@ -195,7 +195,7 @@ TEST(DiskTest, DiscardDirtyForgetsBufferedWrites) {
 
 class EchoService : public sim::Service {
  public:
-  util::Result<Bytes> Handle(const Bytes& request) override {
+  util::Result<Bytes> Handle(Bytes request) override {
     ++calls_;
     return request;
   }

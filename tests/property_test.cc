@@ -635,7 +635,7 @@ class PipelinedReplyFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 // Never reached: the reply sweep hands frames to the client directly.
 class UnreachableService : public sim::Service {
  public:
-  util::Result<Bytes> Handle(const Bytes&) override { return util::Unavailable("unused"); }
+  util::Result<Bytes> Handle(Bytes) override { return util::Unavailable("unused"); }
 };
 
 TEST_P(PipelinedReplyFuzzTest, ReorderedAndCorruptReplyStreamsDecodeOrFailCleanly) {
@@ -733,8 +733,8 @@ TEST_P(PipelinedReplyFuzzTest, ReorderedAndCorruptReplyStreamsDecodeOrFailCleanl
                                  std::make_unique<sfs::ChannelCipher>(Bytes(20, 0)),
                                  std::make_unique<sfs::ChannelCipher>(key));
     client.Frame(1, BytesOf("call"));
-    std::vector<util::Result<Bytes>> released =
-        client.Unframe(mutated, [](uint32_t) { return obs::SpanContext{}; });
+    std::vector<util::Result<Bytes>> released;
+    client.Unframe(mutated, [](uint32_t) { return obs::SpanContext{}; }, &released);
     ASSERT_EQ(released.size(), 1u);
 
     uint32_t seqno = 0;

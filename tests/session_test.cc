@@ -185,12 +185,46 @@ TEST(ChannelCipherTest, WireBytesArePinned) {
   }
 }
 
+TEST(ChannelCipherTest, NonzeroPadUnderAValidMacIsRefused) {
+  // The pad sits under the MAC, so only Open's zero-pad check can refuse
+  // it.  `craft` is Seal done by hand: the MAC key from the first 32
+  // keystream bytes, the MAC over length, message and pad, then all of it
+  // encrypted; only the pad byte is a parameter.
+  const Bytes key = BytesOf("sfs pad-check key 20");
+  ASSERT_EQ(key.size(), 20u);
+  const Bytes message = BytesOf("x");  // One byte, so three pad bytes.
+  auto craft = [&](uint8_t pad) {
+    crypto::Arc4 stream(key);
+    uint8_t mac_key[32] = {};
+    stream.Crypt(mac_key, sizeof(mac_key));
+    Bytes frame = {0, 0, 0, 1, 'x', 0, pad, 0};
+    Bytes mac(crypto::kSha1DigestSize);
+    crypto::HmacSha1(mac_key, sizeof(mac_key), frame.data(), frame.size(), mac.data());
+    util::Append(&frame, mac);
+    stream.Crypt(&frame);
+    return frame;
+  };
+  // With a zero pad the hand-made frame is Seal's own, so the forgery's
+  // MAC is valid and differs from the genuine frame only in the pad.
+  ASSERT_EQ(craft(0), ChannelCipher(key).Seal(message));
+
+  ChannelCipher receiver(key);
+  auto forged = receiver.Open(craft(0x5a));
+  ASSERT_FALSE(forged.ok()) << "a nonzero pad under a valid MAC opened";
+  EXPECT_EQ(forged.status().code(), util::ErrorCode::kSecurityError);
+  // The refusal rewound the stream: the first frame a fresh sender seals
+  // still opens.
+  auto opened = receiver.Open(ChannelCipher(key).Seal(message));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value(), message);
+}
+
 // --- ChannelTransport: in-order opening over an out-of-order wire ----------
 
 // Never reached: the tests below hand frames to the transport directly.
 class UnusedService : public sim::Service {
  public:
-  util::Result<Bytes> Handle(const Bytes&) override { return util::Unavailable("unused"); }
+  util::Result<Bytes> Handle(Bytes) override { return util::Unavailable("unused"); }
 };
 
 class ChannelTransportTest : public ::testing::Test {
@@ -218,8 +252,9 @@ class ChannelTransportTest : public ::testing::Test {
   // discarded message.
   std::vector<int64_t> Deliver(const Bytes& message) {
     std::vector<int64_t> xids;
-    for (util::Result<Bytes>& reply :
-         channel_.Unframe(message, [](uint32_t) { return obs::SpanContext{}; })) {
+    std::vector<util::Result<Bytes>> replies;
+    channel_.Unframe(message, [](uint32_t) { return obs::SpanContext{}; }, &replies);
+    for (util::Result<Bytes>& reply : replies) {
       if (!reply.ok()) {
         xids.push_back(-1);
         continue;
@@ -439,8 +474,9 @@ TEST(ChannelFrameTest, EveryParserCheckAnswersWithItsStatus) {
 
       Bytes edited_reply = reply_frame;
       c.edit(&edited_reply);
-      std::vector<util::Result<Bytes>> released =
-          new_client()->Unframe(edited_reply, [](uint32_t) { return obs::SpanContext{}; });
+      std::vector<util::Result<Bytes>> released;
+      new_client()->Unframe(edited_reply, [](uint32_t) { return obs::SpanContext{}; },
+                            &released);
       ASSERT_EQ(released.size(), 1u) << where;
       EXPECT_EQ(released[0].status().code(), want_client)
           << where << ": client got " << released[0].status().ToString();
