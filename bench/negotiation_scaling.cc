@@ -220,8 +220,18 @@ class NegotiationRig {
                               });
   }
 
+  // The rig's network drops nothing and its host queues without bound,
+  // so every delivery is a reply; a loss report would mean a rig fault.
+  static void RequireReply(const sim::Delivery& d) {
+    if (d.lost) {
+      std::fprintf(stderr, "negotiation rig lost a message: %s\n",
+                   d.status.ToString().c_str());
+      std::abort();
+    }
+  }
+
   void OnNegotiationDone(Peer* p, sim::Delivery d) {
-    (void)d;
+    RequireReply(d);
     neg_latency_->Record(clock_.now_ns() - p->issued_ns);
     ++negotiations_done_;
     if (--p->remaining == 0) {
@@ -233,7 +243,7 @@ class NegotiationRig {
   }
 
   void OnDataDone(Peer* p, sim::Delivery d) {
-    (void)d;
+    RequireReply(d);
     data_latency_->Record(clock_.now_ns() - p->issued_ns);
     ++data_ops_;
     if (negotiations_done_ >= target_) {

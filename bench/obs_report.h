@@ -44,7 +44,6 @@ inline std::string RunObsWorkload(Config config, bool text = false,
   const util::Bytes content = Content(32 * 1024, /*seed=*/99);
   for (int i = 0; i < 8; ++i) {
     WriteFile(&tb, dir + "/f" + std::to_string(i), content);
-    tb.PollTimeline();
   }
 
   // Cold-cache read phase: LOOKUP + GETATTR + READ against the server.
@@ -53,7 +52,6 @@ inline std::string RunObsWorkload(Config config, bool text = false,
     std::string path = dir + "/f" + std::to_string(i);
     CheckResult(tb.vfs()->Stat(tb.user(), path), "stat");
     ReadFile(&tb, path);
-    tb.PollTimeline();
   }
   // GETATTR phase: fstat an already-open handle after the attribute
   // lease/timeout expires, so revalidation needs a bare GETATTR (a
@@ -63,7 +61,6 @@ inline std::string RunObsWorkload(Config config, bool text = false,
   for (int i = 0; i < 4; ++i) {
     tb.clock()->Advance(61'000'000'000, obs::TimeCategory::kApp);  // > lease + timeout.
     CheckResult(probe.Stat(), "fstat");
-    tb.PollTimeline();
   }
 
   if (elapsed_virtual_ns != nullptr) {

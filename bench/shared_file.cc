@@ -63,7 +63,9 @@ SharedFileResult RunSharedFile(bool write_behind) {
   const sim::CostModel& costs = bench::ActiveCostModel();
 
   // Telemetry timeline: the scenario runs ~3.6 virtual seconds, so
-  // 100 ms windows give ~36 readings.  The stall rule is armed at the
+  // 100 ms windows give ~36 readings.  Its edges land while the clients'
+  // stop-and-wait calls run the event loop, so a window can close between
+  // a writer's buffered writes, with the dirty-bytes gauge nonzero.  The stall rule is armed at the
   // write-behind backpressure limit — the handoff pattern commits at
   // every close, so the dirty track must stay bounded and no stall (or
   // overload) episode may appear; Finalize asserts both.
@@ -141,14 +143,9 @@ SharedFileResult RunSharedFile(bool write_behind) {
             "writer open");
         for (size_t c = 0; c < kChunksPerWrite; ++c) {
           bench::Check(file.Pwrite(c * kChunk, chunk), "writer pwrite");
-          // This scenario is pure stop-and-wait (no event pump), so the
-          // sampler's edges are delivered by polling; between the
-          // buffered writes the dirty-bytes gauge is visibly nonzero.
-          sampler.Poll();
         }
         bench::Check(file.Close(), "writer close");  // Flush + COMMIT.
       }
-      sampler.Poll();
       // Close-to-open handoff: every reader opens after the writer's
       // close and must see this round's bytes.
       for (FleetNode& r : readers) {
@@ -162,7 +159,6 @@ SharedFileResult RunSharedFile(bool write_behind) {
           std::abort();
         }
         bench::Check(file.Close(), "reader close");
-        sampler.Poll();
       }
     }
   }

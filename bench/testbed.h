@@ -297,7 +297,8 @@ class Testbed {
 
   // Turns on windowed telemetry for this testbed: an obs::Timeline with
   // the standard track set, sampled by a recurring event on the shared
-  // clock.  Call before running a workload; FinalizeTimeline() (or the
+  // clock, whose edges land while the workload's RPC calls run the event
+  // loop.  Call before running a workload; FinalizeTimeline() (or the
   // testbed's destruction order) closes the trailing window and runs
   // the episode annotator.  The testbed's workloads advance the clock
   // in large kApp jumps (lease expiries), so the default window here is
@@ -317,15 +318,6 @@ class Testbed {
     sampler_ = std::make_unique<sim::TimelineSampler>(&clock_, timeline_.get());
     sampler_->Start();
     return timeline_.get();
-  }
-
-  // Delivers any pending window edge by polling (testbed workloads run
-  // the synchronous stop-and-wait path, which never pumps the event
-  // queue); call between workload phases.
-  void PollTimeline() {
-    if (sampler_ != nullptr) {
-      sampler_->Poll();
-    }
   }
 
   // Closes the trailing window and runs the episode annotator; safe to

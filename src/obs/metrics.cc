@@ -174,10 +174,6 @@ ProcMetrics* Registry::GetProcMetrics(const std::string& base) {
     m.bytes_sent = CounterLocked(base + ".bytes_sent");
     m.bytes_received = CounterLocked(base + ".bytes_received");
     m.latency = HistogramLocked(base + ".latency_ns");
-    for (size_t i = 0; i < kTimeCategoryCount; ++i) {
-      m.time[i] = CounterLocked(base + ".time." +
-                                TimeCategoryName(static_cast<TimeCategory>(i)) + "_ns");
-    }
   }
   return &m;
 }

@@ -149,8 +149,7 @@ class Histogram {
 };
 
 // Per-procedure metric family ("<prefix>.<PROC>.*"): call/error/byte
-// counters, a latency histogram, and per-category time counters sliced
-// out of the clock's accounting across the call.
+// counters and a latency histogram.
 struct ProcMetrics {
   Counter* calls = nullptr;
   Counter* errors = nullptr;
@@ -158,7 +157,6 @@ struct ProcMetrics {
   Counter* bytes_sent = nullptr;
   Counter* bytes_received = nullptr;
   Histogram* latency = nullptr;
-  Counter* time[kTimeCategoryCount] = {};
 };
 
 // Named metrics for one process (or one testbed).  Also owns the span
@@ -178,7 +176,7 @@ class Registry {
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
-  // The procedure family named `base` ("rpc.client.NFS3.READ"): its 14
+  // The procedure family named `base` ("rpc.client.NFS3.READ"): its six
   // metrics are created on the first request and the same family is
   // returned to every later one.
   ProcMetrics* GetProcMetrics(const std::string& base);

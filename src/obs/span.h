@@ -13,11 +13,11 @@
 // own ledger (the cross-check bench/span_report performs).
 //
 // Parent/child links propagate two ways:
-//   * ambient: synchronous scopes (VFS ops, cache ops, stop-and-wait
-//     calls, seal/open, disk charges) nest via a context stack
-//     (ScopedSpan pushes/pops);
-//   * explicit: asynchronous work (pipelined RPC calls, server-side
-//     dispatch reached through the simulated wire) carries a SpanContext
+//   * ambient: synchronous scopes (VFS ops, cache ops, seal/open, disk
+//     charges) nest via a context stack (ScopedSpan pushes/pops);
+//   * explicit: asynchronous work (RPC calls, which complete in a later
+//     event, server-side dispatch reached through the simulated wire,
+//     wire legs) carries a SpanContext
 //     in call metadata, so client and server events land in one tree
 //     even under pipelining and retransmission (docs/OBSERVABILITY.md
 //     §"Spans" has the wire rules).

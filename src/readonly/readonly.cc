@@ -259,7 +259,7 @@ util::Status ReadOnlyClient::Connect() {
   xdr::Encoder req;
   req.PutUint32(kMsgRoGetRoot);
   req.PutOpaque({});
-  ASSIGN_OR_RETURN(util::Bytes raw, link_->Roundtrip(req.Take()));
+  ASSIGN_OR_RETURN(util::Bytes raw, sim::Exchange(link_, req.Take()));
   xdr::Decoder dec(raw);
   ASSIGN_OR_RETURN(uint32_t type, dec.GetUint32());
   ASSIGN_OR_RETURN(util::Bytes body_bytes, dec.GetOpaque());
@@ -310,7 +310,7 @@ util::Result<const util::Bytes*> ReadOnlyClient::FetchNode(const util::Bytes& ha
   xdr::Encoder req;
   req.PutUint32(kMsgRoGetNode);
   req.PutOpaque(payload.Take());
-  ASSIGN_OR_RETURN(util::Bytes raw, link_->Roundtrip(req.Take()));
+  ASSIGN_OR_RETURN(util::Bytes raw, sim::Exchange(link_, req.Take()));
   xdr::Decoder dec(raw);
   ASSIGN_OR_RETURN(uint32_t type, dec.GetUint32());
   ASSIGN_OR_RETURN(util::Bytes body_bytes, dec.GetOpaque());

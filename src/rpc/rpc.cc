@@ -358,9 +358,6 @@ void Client::FrameCall(PendingCall* call, const util::Bytes& args) {
 }
 
 util::Result<util::Bytes> Client::Call(uint32_t prog, uint32_t proc, const util::Bytes& args) {
-  if (window_ == 1) {
-    return LegacyCall(prog, proc, args);
-  }
   // Submit through the window and pump until this call's reply lands;
   // earlier async calls complete (and run their callbacks) on the way.
   std::optional<util::Result<util::Bytes>> out;
@@ -372,90 +369,6 @@ util::Result<util::Bytes> Client::Call(uint32_t prog, uint32_t proc, const util:
   return std::move(*out);
 }
 
-util::Result<util::Bytes> Client::LegacyCall(uint32_t prog, uint32_t proc,
-                                             const util::Bytes& args) {
-  // Not entered in calls_: only this frame waits for the reply.
-  std::string proc_name;
-  PendingCall call = NewCall(prog, proc, &proc_name);
-  // The call span covers the whole stop-and-wait exchange, retransmits
-  // included; pushed so transport, link and server child spans nest under
-  // it.
-  obs::ScopedSpan call_span(spans_, transport_->call_span_prefix() + proc_name,
-                            transport_->layer());
-  call.span_id = call_span.id();
-  const sim::Clock::CategorySnapshot before = clock_->categories();
-  FrameCall(&call, args);
-
-  // On every exit path, attribute the call's elapsed virtual time to the
-  // per-procedure latency histogram and slice it by charge category.
-  auto finish = [&](bool ok, uint64_t reply_bytes) {
-    if (!ok) {
-      call.pm->errors->Increment();
-      if (obs::Span* s = call_span.span()) {
-        s->error = true;
-      }
-    }
-    call.pm->bytes_received->Increment(reply_bytes);
-    call.pm->latency->Record(clock_->now_ns() - call.t_call_ns);
-    const sim::Clock::CategorySnapshot& after = clock_->categories();
-    for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
-      call.pm->time[i]->Increment(after.ns[i] - before.ns[i]);
-    }
-  };
-
-  // Only this call's replies may nest under its span.
-  const CallSpanFn own_span = [&](uint32_t seqno) {
-    obs::Span* s = call_span.span();
-    return seqno == call.xid && s != nullptr ? s->context() : obs::SpanContext{};
-  };
-
-  // Network reordering can hand us a stale reply (some earlier call's,
-  // or one that fails to open).  That is loss, not an attack: discard
-  // it, wait out a timeout, and retransmit the same wire bytes — the
-  // server's DRC guarantees the handler does not run twice.
-  const sim::RetryPolicy& policy = link_->retry_policy();
-  const uint32_t attempts = std::max<uint32_t>(policy.max_transmissions, 1);
-  util::Status last_error = util::Unavailable("RPC: no matching reply");
-  for (; call.attempt < attempts; ++call.attempt) {
-    if (call.attempt > 0) {
-      clock_->Advance(policy.initial_rto_ns, obs::TimeCategory::kWait);
-      m_stale_retries_->Increment();
-      call.pm->retransmits->Increment();
-      if (obs::Span* s = call_span.span()) {
-        ++s->retransmits;
-      }
-    }
-    call.pm->bytes_sent->Increment(call.wire.size());
-
-    auto roundtrip = link_->Roundtrip(call.wire);
-    if (!roundtrip.ok()) {
-      // The link already retried transit loss; its verdict is final.
-      finish(false, 0);
-      return roundtrip.status();
-    }
-    unframed_.clear();
-    transport_->Unframe(std::move(roundtrip).value(), own_span, &unframed_);
-    for (util::Result<util::Bytes>& reply : unframed_) {
-      util::Result<util::Bytes> outcome = util::Unavailable("RPC: no reply");
-      util::Result<uint32_t> reply_xid =
-          reply.ok() ? ParseReply(std::move(reply).value(), &outcome) : reply.status();
-      if (reply_xid.ok() && reply_xid.value() == call.xid) {
-        finish(outcome.ok(), outcome.ok() ? outcome->size() : 0);
-        return outcome;
-      }
-      last_error = reply_xid.ok() ? util::Unavailable("RPC: stale reply xid " +
-                                                      std::to_string(reply_xid.value()))
-                                  : reply_xid.status();
-      m_unmatched_replies_->Increment();
-    }
-  }
-  finish(false, 0);
-  return util::Status(last_error.code(),
-                      "RPC: gave up waiting for a fresh reply: " + last_error.message());
-}
-
-// --- Pipelined path ---------------------------------------------------------
-
 void Client::Transmit(PendingCall* call) {
   call->pm->bytes_sent->Increment(call->wire.size());
   // The call span is ambient across Submit so the link's transit
@@ -464,6 +377,9 @@ void Client::Transmit(PendingCall* call) {
   spans_->Push(call->span_id);
   link_->Submit(call->wire, /*tag=*/call->xid);
   spans_->Pop(call->span_id);
+  if (call->stop_and_wait) {
+    return;  // Waits for the reply, or for the link's report of a loss.
+  }
   // The timer fires only if nothing completed the call first; the gap it
   // bridges (idle, waiting out a lost message) is kWait.
   const uint32_t xid = call->xid;
@@ -473,11 +389,6 @@ void Client::Transmit(PendingCall* call) {
 }
 
 void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Callback done) {
-  if (window_ == 1) {
-    // Stop-and-wait: complete synchronously.
-    done(LegacyCall(prog, proc, args));
-    return;
-  }
   // A new call may enter only when (a) a window slot is free and (b) its
   // seqno would stay within the server's duplicate-request window of the
   // oldest outstanding call.  (b) matters because completions arrive out
@@ -508,6 +419,7 @@ void Client::CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Ca
   std::string proc_name;
   PendingCall call = NewCall(prog, proc, &proc_name);
   call.rto_ns = link_->retry_policy().initial_rto_ns;
+  call.stop_and_wait = window_ == 1;
   call.done = std::move(done);
   // Async call span: parented to the ambient span at submission (the
   // initiating operation), ended when the reply completes the call.
@@ -549,17 +461,25 @@ void Client::OnRetransmitTimer(uint32_t xid) {
   }
   PendingCall& call = *pending;
   call.timer_id = 0;  // This timer just fired; Transmit re-arms.
-  const sim::RetryPolicy& policy = link_->retry_policy();
-  if (call.attempt + 1 >= std::max<uint32_t>(policy.max_transmissions, 1)) {
-    Complete(xid, util::Unavailable("RPC: retry budget exhausted waiting for reply"));
-    return;
+  if (!call.stop_and_wait) {
+    // Pipelined: the timer armed at send expired.
+    const sim::RetryPolicy& policy = link_->retry_policy();
+    if (++call.attempt >= std::max<uint32_t>(policy.max_transmissions, 1)) {
+      Complete(xid, util::Unavailable("RPC: retry budget exhausted waiting for reply"));
+      return;
+    }
+    call.rto_ns = std::min(call.rto_ns * policy.backoff_factor, policy.max_rto_ns);
   }
-  ++call.attempt;
-  call.rto_ns = std::min(call.rto_ns * policy.backoff_factor, policy.max_rto_ns);
-  // Timer resends count as link retransmissions (we cannot tell loss
-  // from reordering here), not as stale_retries — the benchmarks sum the
-  // two, so attributing to both would double-count.
-  link_->NoteRetransmission();
+  if (call.stale_resend) {
+    call.stale_resend = false;
+    m_stale_retries_->Increment();
+  } else {
+    // Resends after a loss (or, pipelined, a timeout: we cannot tell loss
+    // from delay there) count as link retransmissions, stale resends as
+    // stale_retries — the benchmarks sum the two, so attributing to both
+    // would double-count.
+    link_->NoteRetransmission();
+  }
   call.pm->retransmits->Increment();
   if (obs::Span* s = spans_->Find(call.span_id)) {
     ++s->retransmits;
@@ -567,11 +487,39 @@ void Client::OnRetransmitTimer(uint32_t xid) {
   Transmit(&call);
 }
 
+void Client::ResendLater(PendingCall* call, bool stale, util::Status why) {
+  // A stale reply comes from network reordering, or fails to open; the
+  // server's DRC guarantees the handler does not run twice.
+  const uint32_t xid = call->xid;
+  const std::optional<uint64_t> wait_ns = call->retry.Next(link_->retry_policy(), stale);
+  if (!wait_ns.has_value()) {
+    Complete(xid, stale ? util::Status(why.code(), "RPC: gave up waiting for a fresh reply: " +
+                                                        why.message())
+                        : std::move(why));
+    return;
+  }
+  call->stale_resend = stale;
+  call->timer_id = clock_->events()->Schedule(clock_->now_ns() + *wait_ns,
+                                              obs::TimeCategory::kWait,
+                                              [this, xid] { OnRetransmitTimer(xid); }, &timers_);
+}
+
 void Client::OnDelivery(sim::Delivery delivery) {
-  // The transmission's tag is its call's xid; it attributes service-level
-  // verdicts, whose response bytes (if any) are not a parseable reply.
+  // The transmission's tag is its call's xid; it attributes loss reports
+  // and service-level verdicts, whose response bytes (if any) are not a
+  // parseable reply.
+  const uint32_t tag = static_cast<uint32_t>(delivery.tag);
+  PendingCall* sender = FindCall(tag);
+  const bool stop_and_wait = sender != nullptr && sender->stop_and_wait;
+  if (delivery.lost) {
+    // A pipelined call's timer, armed at send, already covers the loss.
+    if (stop_and_wait) {
+      ResendLater(sender, /*stale=*/false, std::move(delivery.status));
+    }
+    return;
+  }
   if (!delivery.status.ok()) {
-    Complete(static_cast<uint32_t>(delivery.tag), delivery.status);
+    Complete(tag, delivery.status);
     return;
   }
 
@@ -585,25 +533,45 @@ void Client::OnDelivery(sim::Delivery delivery) {
   std::vector<util::Result<util::Bytes>> replies = std::move(unframed_);
   replies.clear();
   transport_->Unframe(std::move(delivery.response), call_span, &replies);
+  // Why the last reply was discarded, kept for a stop-and-wait call, which
+  // reports it if it gives up.
+  util::Status discarded;
   for (util::Result<util::Bytes>& reply : replies) {
-    // Discarded unread (the call's timer resends, and the server's DRC
-    // replays the intact reply), unparseable, or wanted by no outstanding
-    // call: a late duplicate of an already completed call (a retransmit
-    // raced the reply), or the reply of a call that gave up.  Counted,
-    // not silent.  The xid is read first, so a reply no call wants is
-    // never decoded.
+    // Discarded unread (the call resends, and the server's DRC replays
+    // the intact reply), unparseable, or wanted by no outstanding call: a
+    // late duplicate of an already completed call (a retransmit raced
+    // the reply), or the reply of a call that gave up.  Counted, not
+    // silent.  The xid is read first, so a reply no call wants is never
+    // decoded.
     const util::Result<uint32_t> xid =
         reply.ok() ? xdr::PeekUint32(reply.value(), 0) : reply.status();
     util::Result<util::Bytes> outcome = util::Unavailable("RPC: no reply");
-    if (!xid.ok() || FindCall(xid.value()) == nullptr ||
-        !ParseReply(std::move(reply).value(), &outcome).ok()) {
-      m_unmatched_replies_->Increment();
-      continue;
+    if (xid.ok() && FindCall(xid.value()) != nullptr) {
+      const util::Result<uint32_t> parsed = ParseReply(std::move(reply).value(), &outcome);
+      if (parsed.ok()) {
+        Complete(xid.value(), std::move(outcome));
+        continue;
+      }
+      if (stop_and_wait) {
+        discarded = parsed.status();
+      }
+    } else if (stop_and_wait) {
+      discarded = !reply.ok() ? reply.status()
+                  : !xid.ok() ? ParseReply(std::move(reply).value(), &outcome).status()
+                              : util::Unavailable("RPC: stale reply xid " +
+                                                  std::to_string(xid.value()));
     }
-    Complete(xid.value(), std::move(outcome));
+    m_unmatched_replies_->Increment();
   }
   replies.clear();  // Frees the bytes of replies no call took.
   unframed_ = std::move(replies);
+  // A message that did not complete the stop-and-wait call it answers
+  // was stale.
+  if (PendingCall* call = FindCall(tag); stop_and_wait && call != nullptr) {
+    ResendLater(call, /*stale=*/true,
+                discarded.ok() ? util::Unavailable("RPC: no matching reply")
+                               : std::move(discarded));
+  }
 }
 
 void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
@@ -613,7 +581,7 @@ void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
   }
   PendingCall call = std::move(*pending);
   *pending = PendingCall{};
-  if (--in_flight_ == 0) {
+  if (--in_flight_ == 0 && calls_.size() > 1) {
     // Idle: the slots are not kept past a burst of calls.
     calls_ = std::vector<PendingCall>();
   }
@@ -629,8 +597,8 @@ void Client::Complete(uint32_t xid, util::Result<util::Bytes> result) {
     call.pm->errors->Increment();
   }
   // Wall-clock latency of the whole call.  Per-category slices are not
-  // recorded here: overlapping calls share elapsed time, so a per-call
-  // category diff would double-charge (the stop-and-wait path keeps them).
+  // recorded per call: overlapping calls share elapsed time, so a
+  // per-call category diff would double-charge.
   call.pm->latency->Record(clock_->now_ns() - call.t_call_ns);
   if (call.span_id != 0) {
     if (obs::Span* s = spans_->Find(call.span_id)) {

@@ -33,15 +33,16 @@
 // call (a late duplicate from network reordering) is counted and
 // discarded.
 //
-// Window 1 (the default) is stop-and-wait over Link::Roundtrip, which
-// masks transit loss itself: a call waits for its reply however long the
-// server takes, and is resent from above the link only when the reply in
-// hand is stale.  set_window(n > 1) keeps up to n calls in flight over
-// Link::Submit, overlapping their round trips; replies arrive through the
-// link's delivery sink, possibly out of order (each is matched to its
-// call by xid), and each in-flight call arms one cancellable
-// retransmission timer on the clock's EventQueue that resends the
-// identical wire bytes.
+// Every call, at every window, is submitted through Link::Submit and
+// completed by the clock's event loop.  Window 1 (the default) is
+// stop-and-wait: no timer is armed at send, so a call waits for its reply
+// however long the server takes, and a transmission the link reports
+// lost or answered by a stale reply is resent by sim::StopAndWaitRetry.
+// set_window(n > 1) keeps up to n calls in flight, overlapping their
+// round trips; replies arrive through the link's delivery sink, possibly
+// out of order (each is matched to its call by xid), and each in-flight
+// call arms one cancellable retransmission timer at send that resends
+// the identical wire bytes, ignoring the link's loss reports.
 //
 // Message bytes move rather than copy: a call body is framed in its own
 // buffer, the server opens and parses a request in the buffer the link
@@ -257,9 +258,10 @@ class Client {
 
   // Synchronous call.  Errors from the transport (kUnavailable,
   // kSecurityError) and from the remote handler both surface as Status.
-  // With a window > 1 this submits through the window and runs the event
-  // loop until this call completes — earlier async calls' replies are
-  // processed (and their callbacks run) along the way.
+  // Submits through the window and runs the event loop until this call
+  // completes — earlier async calls' replies are processed (and their
+  // callbacks run) along the way.  It pumps the loop at every window, so
+  // it must not be called from inside an event (a callback included).
   util::Result<util::Bytes> Call(uint32_t prog, uint32_t proc, const util::Bytes& args);
   util::Result<util::Bytes> Call(uint32_t proc, const util::Bytes& args) {
     return Call(programs_.front().prog, proc, args);
@@ -273,8 +275,8 @@ class Client {
 
   // Starts a call without waiting for its reply.  If the window is full,
   // blocks (running the event loop) until a slot frees; the wait is
-  // recorded in the rpc.client.queue_wait_ns histogram.  At window 1 the
-  // call completes synchronously.
+  // recorded in the rpc.client.queue_wait_ns histogram.  The call
+  // completes in a later event, at window 1 too.
   void CallAsync(uint32_t prog, uint32_t proc, const util::Bytes& args, Callback done);
   void CallAsync(uint32_t proc, const util::Bytes& args, Callback done) {
     CallAsync(programs_.front().prog, proc, args, std::move(done));
@@ -283,10 +285,10 @@ class Client {
   // Runs the event loop until every outstanding async call has completed.
   void Drain();
 
-  // Every pipelined client is event-driven: deliveries arrive through the
-  // link's sink and each in-flight call arms an EventQueue timer, so a
-  // fleet harness can run one top-level loop over thousands of clients.
-  // A no-op kept because perfbench/fleet.cc still calls it.
+  // Every client is event-driven: deliveries and loss reports arrive
+  // through the link's sink and resends are EventQueue timers, so a fleet
+  // harness can run one top-level loop over thousands of clients.  A
+  // no-op kept because perfbench/fleet.cc still calls it.
   void EnableEventDriven() {}
 
   // Sliding send window: 1 (default) is stop-and-wait; larger values
@@ -308,9 +310,17 @@ class Client {
     uint32_t proc = 0;
     util::Bytes wire;  // Framed once; retransmissions resend these bytes.
     uint64_t t_call_ns = 0;
-    uint64_t rto_ns = 0;
     uint64_t timer_id = 0;  // Retransmission timer; 0 = none armed.
+    // Pipelined: the timer's timeout and the sends so far, less one.
+    uint64_t rto_ns = 0;
     uint32_t attempt = 0;
+    // Sent at window 1: no timer at send; the link's loss reports and
+    // discarded replies arm the resend, by `retry`.
+    bool stop_and_wait = false;
+    // The armed resend answers a discarded reply: counted in
+    // stale_retries rather than link.retransmissions.
+    bool stale_resend = false;
+    sim::StopAndWaitRetry retry;
     uint64_t span_id = 0;  // Open call span; 0 = tracing off.
     obs::ProcMetrics* pm = nullptr;
     Callback done;
@@ -327,15 +337,21 @@ class Client {
   // Encodes the call body (with the open span's trace context) and has
   // the transport frame it into call->wire.
   void FrameCall(PendingCall* call, const util::Bytes& args);
-  util::Result<util::Bytes> LegacyCall(uint32_t prog, uint32_t proc, const util::Bytes& args);
-  // Sends (or resends) a pending call and arms its timer.
+  // Sends (or resends) a pending call and, unless it is stop-and-wait,
+  // arms its timer.
   void Transmit(PendingCall* call);
+  // Stop-and-wait: the call's transmission in flight came to nothing,
+  // lost (`why` is the link's report) or answered by a discarded reply
+  // (`stale`; `why` says why it was discarded).  Arms the resend the
+  // call's StopAndWaitRetry names, or gives up with `why` once that
+  // budget is spent.
+  void ResendLater(PendingCall* call, bool stale, util::Status why);
   // Dispatches one event; with a call pending there is always one (its
   // timer), so every pump makes progress.
   void PumpOnce();
   // Link delivery sink: unframe, then match each reply body by xid.
   void OnDelivery(sim::Delivery delivery);
-  // Retransmission timer fired for `xid`: resend or give up.
+  // Retransmission timer fired for `xid`: resend, or (pipelined) give up.
   void OnRetransmitTimer(uint32_t xid);
   // Removes the call from the window and runs its callback.
   void Complete(uint32_t xid, util::Result<util::Bytes> result);
@@ -347,11 +363,12 @@ class Client {
   uint32_t next_xid_ = 1;
   uint32_t window_ = 1;
 
-  // Outstanding pipelined calls, one per slot, found by xid.  A window
-  // holds at most kMaxSendWindow calls, so a scan is as fast as a tree;
-  // a burst of calls reuses its slots, which are released when the
-  // client goes idle.  Each transmission is submitted with its xid as the
-  // link tag, so a service-level error delivery names its call directly.
+  // Outstanding calls, one per slot, found by xid.  A window holds at
+  // most kMaxSendWindow calls, so a scan is as fast as a tree; a burst of
+  // calls reuses its slots, which are released when the client goes idle
+  // (a single slot stays, so stop-and-wait calls reuse it).  Each
+  // transmission is submitted with its xid as the link tag, so a
+  // service-level verdict or loss report names its call directly.
   std::vector<PendingCall> calls_;
   uint32_t in_flight_ = 0;
   // Reply bodies of the message being processed; kept so its capacity is

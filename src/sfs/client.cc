@@ -9,31 +9,19 @@
 namespace sfs {
 namespace {
 
-// One handshake roundtrip with stale-reply tolerance: the link masks
-// transit loss, and a reply with unexpected framing (a reordered, stale
-// message) is discarded and the request retransmitted — the server
-// recognizes the redelivered handshake bytes and replays its reply.
-util::Result<util::Bytes> HandshakeRoundtrip(sim::Link* link, uint32_t type,
-                                             const util::Bytes& payload) {
-  const util::Bytes request = FrameMessage(type, payload);
-  const sim::RetryPolicy& policy = link->retry_policy();
-  uint32_t attempts = policy.max_transmissions == 0 ? 1 : policy.max_transmissions;
-  util::Status last_error = util::Unavailable("no valid handshake reply");
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      link->clock()->Advance(policy.initial_rto_ns, obs::TimeCategory::kWait);
-    }
-    auto raw = link->Roundtrip(request);
-    if (!raw.ok()) {
-      return raw.status();
-    }
-    auto reply = Unframe(type, raw.value());
-    if (reply.ok()) {
-      return reply;
-    }
-    last_error = reply.status();
-  }
-  return last_error;
+// One handshake exchange with stale-reply tolerance: a reply with
+// unexpected framing (a reordered, stale message) is discarded and the
+// request resent — the server recognizes the redelivered handshake bytes
+// and replays its reply.
+util::Result<util::Bytes> Handshake(sim::Link* link, uint32_t type, const util::Bytes& payload) {
+  util::Bytes reply;
+  RETURN_IF_ERROR(sim::Exchange(link, FrameMessage(type, payload),
+                                [type, &reply](const util::Bytes& raw) {
+                                  ASSIGN_OR_RETURN(reply, Unframe(type, raw));
+                                  return util::OkStatus();
+                                })
+                      .status());
+  return reply;
 }
 
 }  // namespace
@@ -117,7 +105,7 @@ util::Result<SfsClient::MountPoint*> SfsClient::Mount(const SelfCertifyingPath& 
   hello.PutOpaque(path.host_id);
   hello.PutString("");  // Extensions.
   ASSIGN_OR_RETURN(util::Bytes hello_reply,
-                   HandshakeRoundtrip(mount->link_.get(), kMsgConnect, hello.Take()));
+                   Handshake(mount->link_.get(), kMsgConnect, hello.Take()));
   xdr::Decoder hello_dec(hello_reply);
   ASSIGN_OR_RETURN(uint32_t connect_result, hello_dec.GetUint32());
   if (connect_result == kConnectRevoked) {
@@ -181,7 +169,7 @@ util::Result<SfsClient::MountPoint*> SfsClient::Mount(const SelfCertifyingPath& 
   neg.PutOpaque(negotiation.enc_kc2);
   neg.PutBool(!options_.encrypt);
   ASSIGN_OR_RETURN(util::Bytes neg_reply,
-                   HandshakeRoundtrip(mount->link_.get(), kMsgNegotiate, neg.Take()));
+                   Handshake(mount->link_.get(), kMsgNegotiate, neg.Take()));
   xdr::Decoder neg_dec(neg_reply);
   ASSIGN_OR_RETURN(bool cleartext, neg_dec.GetBool());
   ASSIGN_OR_RETURN(util::Bytes enc_ks1, neg_dec.GetOpaque());

@@ -67,7 +67,7 @@ util::Result<SfsKeyFetch> SrpFetchKey(sim::Clock* clock, SfsServer* server,
   start.PutString(user);
   start.PutOpaque(srp.A().ToBytes());
   ASSIGN_OR_RETURN(util::Bytes reply1,
-                   link.Roundtrip(FrameMessage(kMsgSrpStart, start.Take())));
+                   sim::Exchange(&link, FrameMessage(kMsgSrpStart, start.Take())));
   ASSIGN_OR_RETURN(util::Bytes payload1, Unframe(kMsgSrpStart, reply1));
   xdr::Decoder p1(payload1);
   ASSIGN_OR_RETURN(util::Bytes salt, p1.GetOpaque());
@@ -80,7 +80,7 @@ util::Result<SfsKeyFetch> SrpFetchKey(sim::Clock* clock, SfsServer* server,
   xdr::Encoder finish;
   finish.PutOpaque(srp.ClientProof());
   ASSIGN_OR_RETURN(util::Bytes reply2,
-                   link.Roundtrip(FrameMessage(kMsgSrpFinish, finish.Take())));
+                   sim::Exchange(&link, FrameMessage(kMsgSrpFinish, finish.Take())));
   ASSIGN_OR_RETURN(util::Bytes payload2, Unframe(kMsgSrpFinish, reply2));
   xdr::Decoder p2(payload2);
   ASSIGN_OR_RETURN(util::Bytes m2, p2.GetOpaque());

@@ -18,6 +18,53 @@ GapAttribution GapAttribution::Proportional(const Clock::CategorySnapshot& break
   return a;
 }
 
+void GapAttribution::Charge(Clock* clock, uint64_t gap_ns, uint64_t from_ns,
+                            uint64_t to_ns) const {
+  if (breakdown_total == 0) {
+    clock->Advance(to_ns - from_ns, category);
+    return;
+  }
+  // The categories' shares of the whole gap lie end to end, then the
+  // rounding remainder on the heaviest category, so the charges sum to
+  // the gap exactly and the ledger invariant (categories sum to now_ns)
+  // survives every dispatch.  The part takes its overlap with each piece.
+  auto charge = [&](uint64_t begin, uint64_t end, size_t i) {
+    const uint64_t lo = std::max(begin, from_ns);
+    const uint64_t hi = std::min(end, to_ns);
+    if (hi > lo) {
+      clock->Advance(hi - lo, static_cast<obs::TimeCategory>(i));
+    }
+  };
+  uint64_t begin = 0;
+  size_t heaviest = 0;
+  for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
+    if (breakdown.ns[i] > breakdown.ns[heaviest]) {
+      heaviest = i;
+    }
+    const uint64_t share = static_cast<uint64_t>(
+        static_cast<unsigned __int128>(gap_ns) * breakdown.ns[i] / breakdown_total);
+    charge(begin, begin + share, i);
+    begin += share;
+  }
+  charge(begin, gap_ns, heaviest);
+}
+
+void EventQueue::ChargeGap(uint32_t index, uint64_t at_ns, uint64_t until_ns) {
+  const Slot& slot = slots_[index];
+  const EventId id = MakeId(index, slot.generation);
+  const uint64_t now = clock_->now_ns();
+  if (split_event_ != id || split_origin_ns_ + split_charged_ns_ != now) {
+    // Not split by an observer, or the clock moved outside the loop since
+    // it was: the gap begins now.
+    split_event_ = id;
+    split_origin_ns_ = now;
+    split_charged_ns_ = 0;
+  }
+  const uint64_t from_ns = split_charged_ns_;
+  split_charged_ns_ = until_ns - split_origin_ns_;
+  slot.attr.Charge(clock_, at_ns - split_origin_ns_, from_ns, split_charged_ns_);
+}
+
 void EventQueue::PushHeap(Entry entry) {
   heap_.push_back(entry);
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
@@ -135,34 +182,11 @@ bool EventQueue::RunOne() {
   --live_;
   ++dispatched_;
 
-  const uint64_t now = clock_->now_ns();
-  if (entry.at_ns > now) {
-    const uint64_t gap = entry.at_ns - now;
-    const GapAttribution& attr = slot.attr;
-    if (attr.breakdown_total == 0) {
-      clock_->Advance(gap, attr.category);
+  if (entry.at_ns > clock_->now_ns()) {
+    if (slot.attr.observer && next_time_ns() != UINT64_MAX) {
+      ChargeGap(heap_.front().slot, heap_.front().at_ns, entry.at_ns);
     } else {
-      // Split the gap proportionally to the measured breakdown, exact to
-      // the nanosecond: rounding remainders land on the heaviest
-      // category so the charges sum to the gap and the ledger invariant
-      // (categories sum to now_ns) survives every dispatch.
-      uint64_t charged = 0;
-      size_t heaviest = 0;
-      for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
-        if (attr.breakdown.ns[i] > attr.breakdown.ns[heaviest]) {
-          heaviest = i;
-        }
-        const uint64_t share = static_cast<uint64_t>(
-            static_cast<unsigned __int128>(gap) * attr.breakdown.ns[i] /
-            attr.breakdown_total);
-        if (share != 0) {
-          clock_->Advance(share, static_cast<obs::TimeCategory>(i));
-          charged += share;
-        }
-      }
-      if (charged < gap) {
-        clock_->Advance(gap - charged, static_cast<obs::TimeCategory>(heaviest));
-      }
+      ChargeGap(entry.slot, entry.at_ns, entry.at_ns);
     }
   }
   // Moved out and the slot freed before running: the closure may

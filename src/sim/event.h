@@ -162,6 +162,11 @@ struct GapAttribution {
   // the heaviest category so the charges sum exactly to the gap.
   Clock::CategorySnapshot breakdown;
   uint64_t breakdown_total = 0;
+  // An observer's event (a timeline edge), which takes no time of its
+  // own: the gap it ends is charged as the next pending event would
+  // charge it, so the ledger reads the same with or without observers.
+  // With nothing else pending, `category` applies.
+  bool observer = false;
 
   static GapAttribution Category(obs::TimeCategory category) {
     GapAttribution a;
@@ -169,6 +174,17 @@ struct GapAttribution {
     return a;
   }
   static GapAttribution Proportional(const Clock::CategorySnapshot& breakdown);
+  static GapAttribution Observer(obs::TimeCategory idle) {
+    GapAttribution a = Category(idle);
+    a.observer = true;
+    return a;
+  }
+
+  // Charges the part [from_ns, to_ns) of a `gap_ns` gap.  The proportional
+  // form lays the categories' shares of the whole gap end to end, so the
+  // parts of a gap split by observer events sum per category to exactly
+  // what the unsplit gap would charge.
+  void Charge(Clock* clock, uint64_t gap_ns, uint64_t from_ns, uint64_t to_ns) const;
 };
 
 // One owner's pending events (a Link's transits, a Host's completions, a
@@ -284,6 +300,9 @@ class EventQueue {
   // Returns a popped slot to the free list; its id goes stale.
   void ReleaseSlot(uint32_t index);
   void Unlink(uint32_t index);
+  // Charges [now, until_ns) as part of the gap of the event in `index`,
+  // due at `at_ns`.
+  void ChargeGap(uint32_t index, uint64_t at_ns, uint64_t until_ns);
   void PopHeap();
   void PushHeap(Entry entry);
 
@@ -293,6 +312,11 @@ class EventQueue {
   uint32_t free_head_ = EventGroup::kNoSlot;
   uint64_t next_seq_ = 0;
   size_t live_ = 0;
+  // The last gap an observer event split: the event it leads to, where
+  // it began, and how much of it is charged already.
+  EventId split_event_ = kInvalidId;
+  uint64_t split_origin_ns_ = 0;
+  uint64_t split_charged_ns_ = 0;
   uint64_t dispatched_ = 0;
   uint64_t cancelled_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "src/sim/network.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/sim/event.h"
@@ -36,7 +37,8 @@ void Host::Arrive(util::Bytes request, obs::SpanContext ctx, ResponseFn respond,
   }
   // Overload: the admission queue is full and the request vanishes, like
   // a datagram dropped on a full socket buffer.  No reply is ever
-  // scheduled; the client's retransmission timer is the recovery.
+  // scheduled; `shed` lets the link report the loss, and the client's
+  // resend is the recovery.
   ++shed_;
   m_shed_->Increment();
   if (shed) {
@@ -201,32 +203,28 @@ void Link::CountMessage(size_t bytes) {
   m_bytes_->Increment(bytes);
 }
 
-void Link::ChargeOneWay(size_t bytes, const char* span_name) {
-  uint64_t transit = profile_.latency_ns + profile_.per_message_ns + SerializationNs(bytes);
-  const uint64_t start_ns = clock_->now_ns();
-  clock_->Advance(transit, obs::TimeCategory::kLink);
-  CountMessage(bytes);
-  if (transit != 0 && SpansEnabled()) {
-    obs::SpanCollector& spans = registry_->spans();
-    obs::Span span;
-    span.name = span_name;
-    span.layer = "sim.link";
-    span.start_ns = start_ns;
-    span.end_ns = start_ns + transit;
-    span.cat_ns[static_cast<size_t>(obs::TimeCategory::kLink)] = transit;
-    span.wire_bytes = bytes;
-    spans.RecordClosed(std::move(span), spans.current());
+void Link::RecordLeg(const char* name, const Leg& leg, uint64_t start_ns, uint64_t end_ns,
+                     size_t bytes) {
+  if (end_ns == start_ns || !SpansEnabled()) {
+    return;
   }
+  // The leg owns the wire from the moment it has it until it lands, so
+  // its whole interval is link time; queueing for the wire stays with
+  // the sender.
+  obs::Span span;
+  span.name = name;
+  span.layer = "sim.link";
+  span.start_ns = start_ns;
+  span.end_ns = end_ns;
+  span.cat_ns[static_cast<size_t>(obs::TimeCategory::kLink)] = end_ns - start_ns;
+  span.wire_bytes = bytes;
+  registry_->spans().RecordClosed(std::move(span), leg.ctx);
 }
 
-void Link::EraseTransitInfo(uint64_t token) { transit_info_.erase(token); }
-
-uint64_t Link::Submit(const util::Bytes& request, uint64_t tag) {
-  const uint64_t token = next_token_++;
-  obs::SpanContext ctx;
+void Link::Submit(const util::Bytes& request, uint64_t tag) {
+  Leg leg{tag, false, {}};
   if (SpansEnabled()) {
-    ctx = registry_->spans().current();
-    transit_info_[token] = TransitInfo{ctx.trace_id, ctx.span_id, clock_->now_ns()};
+    leg.ctx = registry_->spans().current();
   }
   // The one copy on the request path: the caller keeps its bytes for
   // retransmission, and this copy travels on to the host.
@@ -234,12 +232,10 @@ uint64_t Link::Submit(const util::Bytes& request, uint64_t tag) {
   if (interposer_ != nullptr) {
     auto intercepted = interposer_->OnRequest(std::move(wire_request));
     if (!intercepted.ok()) {
-      // Lost in transit: no arrival is ever scheduled; the sender's
-      // retransmission timer is the only recovery.  The token is dead,
-      // so its span bookkeeping goes with it.
       m_drops_->Increment();
-      EraseTransitInfo(token);
-      return token;
+      ReportLoss(leg, util::Unavailable("request dropped in transit: " +
+                                        intercepted.status().message()));
+      return;
     }
     wire_request = std::move(intercepted).value();
   }
@@ -248,28 +244,27 @@ uint64_t Link::Submit(const util::Bytes& request, uint64_t tag) {
   // the uplink: each occupies wire bandwidth and, at arrival, the
   // server's admission pipeline — a duplicate is an ordinary arrival
   // that the service must deduplicate, not a free ride.
-  const bool duplicate = interposer_ != nullptr && interposer_->DuplicateRequest();
-  if (!duplicate) {
-    ScheduleRequestLeg(Leg{token, tag, false}, std::move(wire_request), ctx);
-    return token;
+  if (interposer_ != nullptr && interposer_->DuplicateRequest()) {
+    ScheduleRequestLeg(leg, wire_request);
+    m_duplicates_->Increment();
+    leg.is_duplicate = true;
   }
-  ScheduleRequestLeg(Leg{token, tag, false}, wire_request, ctx);
-  m_duplicates_->Increment();
-  ScheduleRequestLeg(Leg{token, tag, true}, std::move(wire_request), ctx);
-  return token;
+  ScheduleRequestLeg(leg, std::move(wire_request));
 }
 
-void Link::ScheduleRequestLeg(Leg leg, util::Bytes wire_request, obs::SpanContext ctx) {
+void Link::ScheduleRequestLeg(Leg leg, util::Bytes wire_request) {
   CountMessage(wire_request.size());
   // Uplink: messages queue for bandwidth but overlap in propagation.
   const uint64_t up_start = std::max(clock_->now_ns(), uplink_free_ns_);
   uplink_free_ns_ = up_start + SerializationNs(wire_request.size());
   const uint64_t arrive_ns = uplink_free_ns_ + profile_.latency_ns + profile_.per_message_ns;
-  auto arrive = [this, leg, request = std::move(wire_request), ctx]() mutable {
+  RecordLeg(leg.is_duplicate ? "link.send.dup" : "link.send", leg, up_start, arrive_ns,
+            wire_request.size());
+  auto arrive = [this, leg, request = std::move(wire_request)]() mutable {
     // The verdict may wait in a shared Host's queue past this link's
     // lifetime; alive_ disarms it there.
     host_->Arrive(
-        std::move(request), ctx,
+        std::move(request), leg.ctx,
         [this, leg](util::Result<util::Bytes> result) {
           if (!leg.is_duplicate) {
             CompleteResponse(leg, std::move(result));
@@ -279,10 +274,10 @@ void Link::ScheduleRequestLeg(Leg leg, util::Bytes wire_request, obs::SpanContex
           // discards it.
         },
         [this, leg] {
-          // Shed at admission: the token is dead (for the original; a
-          // shed duplicate changes nothing for the live original).
+          // Shed at admission.  A shed duplicate changes nothing for the
+          // live original.
           if (!leg.is_duplicate) {
-            EraseTransitInfo(leg.token);
+            ReportLoss(leg, util::Unavailable("request shed by the server"));
           }
         },
         service_, alive_);
@@ -305,7 +300,8 @@ void Link::CompleteResponse(Leg leg, util::Result<util::Bytes> result) {
     auto intercepted = interposer_->OnResponse(std::move(result).value());
     if (!intercepted.ok()) {
       m_drops_->Increment();
-      EraseTransitInfo(leg.token);
+      ReportLoss(leg, util::Unavailable("response dropped in transit: " +
+                                        intercepted.status().message()));
       return;
     }
     result = std::move(intercepted).value();
@@ -320,101 +316,97 @@ void Link::ScheduleResponseLeg(Leg leg, util::Result<util::Bytes> reply) {
   downlink_free_ns_ = down_start + SerializationNs(bytes);
   const uint64_t deliver_ns =
       downlink_free_ns_ + profile_.latency_ns + profile_.per_message_ns;
-  auto deliver = [this, token = leg.token, tag = leg.tag, reply = std::move(reply)]() mutable {
+  RecordLeg("link.recv", leg, down_start, deliver_ns, bytes);
+  auto deliver = [this, tag = leg.tag, reply = std::move(reply)]() mutable {
     if (reply.ok()) {
-      Deliver(Delivery{token, tag, util::OkStatus(), std::move(reply).value()});
+      Deliver(Delivery{tag, util::OkStatus(), std::move(reply).value()});
     } else {
-      Deliver(Delivery{token, tag, reply.status(), util::Bytes{}});
+      Deliver(Delivery{tag, reply.status(), util::Bytes{}});
     }
   };
   static_assert(EventFn::kStoredInline<decltype(deliver)>, "delivery event would allocate");
   clock_->events()->Schedule(deliver_ns, obs::TimeCategory::kLink, std::move(deliver), &events_);
 }
 
+void Link::ReportLoss(const Leg& leg, util::Status why) {
+  // An event, not a call: the sender hears of the loss from the loop,
+  // never from inside Submit or the host.
+  auto report = [this, tag = leg.tag, why = std::move(why)]() mutable {
+    Deliver(Delivery{tag, std::move(why), util::Bytes{}, /*lost=*/true});
+  };
+  static_assert(EventFn::kStoredInline<decltype(report)>, "loss report would allocate");
+  clock_->events()->Schedule(clock_->now_ns(), obs::TimeCategory::kLink, std::move(report),
+                             &events_);
+}
+
 void Link::Deliver(Delivery delivery) {
-  if (auto info = transit_info_.find(delivery.token); info != transit_info_.end()) {
-    if (SpansEnabled()) {
-      // Interval marker covering submit → delivery, parented into the
-      // submitter's trace.  Categories stay empty: the interval overlaps
-      // the server's service time and any concurrent transits, so a
-      // ledger slice here would misattribute shared time.
-      obs::Span span;
-      span.name = "link.transit";
-      span.layer = "sim.link";
-      span.start_ns = info->second.submit_ns;
-      span.end_ns = clock_->now_ns();
-      span.wire_bytes = delivery.response.size();
-      span.error = !delivery.status.ok();
-      registry_->spans().RecordClosed(
-          std::move(span),
-          obs::SpanContext{info->second.trace_id, info->second.parent_span_id});
-    }
-    transit_info_.erase(info);
-  }
   if (sink_) {
     sink_(std::move(delivery));
   }
 }
 
-util::Result<util::Bytes> Link::Roundtrip(const util::Bytes& request) {
-  uint64_t rto = retry_policy_.initial_rto_ns;
-  util::Status last_drop = util::Unavailable("request dropped in transit");
-  for (uint32_t attempt = 0; attempt < retry_policy_.max_transmissions; ++attempt) {
-    if (attempt > 0) {
-      // The full retransmission timeout elapses before the sender gives
-      // up on the outstanding copy and resends the same wire bytes.
-      clock_->Advance(rto, obs::TimeCategory::kWait);
-      rto = std::min(rto * retry_policy_.backoff_factor, retry_policy_.max_rto_ns);
-      m_retransmissions_->Increment();
-    }
-
-    util::Bytes wire_request = request;
-    if (interposer_ != nullptr) {
-      auto intercepted = interposer_->OnRequest(std::move(wire_request));
-      if (!intercepted.ok()) {
-        m_drops_->Increment();
-        last_drop = util::Unavailable("request dropped in transit: " +
-                                      intercepted.status().message());
-        continue;
-      }
-      wire_request = std::move(intercepted).value();
-    }
-    ChargeOneWay(wire_request.size(), "link.send");
-
-    // The service takes the bytes; an interposer may still duplicate the
-    // request, so with one installed the service gets a copy.
-    const size_t request_bytes = wire_request.size();
-    auto response = interposer_ != nullptr ? service_->Handle(wire_request)
-                                           : service_->Handle(std::move(wire_request));
-    if (!response.ok()) {
-      // An error from the service itself (dead connection, bad message)
-      // is not transit loss; retrying the same bytes cannot help.
-      return response.status();
-    }
-    util::Bytes wire_response = std::move(response).value();
-
-    if (interposer_ != nullptr && interposer_->DuplicateRequest()) {
-      // The network delivers a second copy of the request.  The service
-      // must deduplicate; its reply to the copy finds no one waiting.
-      m_duplicates_->Increment();
-      ChargeOneWay(request_bytes, "link.send.dup");
-      (void)service_->Handle(std::move(wire_request));
-    }
-
-    if (interposer_ != nullptr) {
-      auto intercepted = interposer_->OnResponse(std::move(wire_response));
-      if (!intercepted.ok()) {
-        m_drops_->Increment();
-        last_drop = util::Unavailable("response dropped in transit: " +
-                                      intercepted.status().message());
-        continue;
-      }
-      wire_response = std::move(intercepted).value();
-    }
-    ChargeOneWay(wire_response.size(), "link.recv");
-    return wire_response;
+std::optional<uint64_t> StopAndWaitRetry::Next(const RetryPolicy& policy, bool discarded) {
+  if (discarded) {
+    losses_ = 0;  // A reply came back: the resend starts a fresh exchange.
   }
-  return last_drop;
+  if (++(discarded ? discards_ : losses_) >= std::max<uint32_t>(policy.max_transmissions, 1)) {
+    return std::nullopt;
+  }
+  // The initial RTO, backed off once per earlier loss in a row.
+  uint64_t rto_ns = policy.initial_rto_ns;
+  for (uint32_t resent = 1; resent < losses_; ++resent) {
+    rto_ns = std::min(rto_ns * policy.backoff_factor, policy.max_rto_ns);
+  }
+  return rto_ns;
+}
+
+util::Result<util::Bytes> Exchange(Link* link, const util::Bytes& request,
+                                   const ReplyCheck& accept) {
+  EventQueue* events = link->clock()->events();
+  std::optional<Delivery> delivery;
+  std::function<void(Delivery)> found_sink =
+      link->set_delivery_sink([&delivery](Delivery d) { delivery = std::move(d); });
+  StopAndWaitRetry retry;
+  util::Result<util::Bytes> result = util::Unavailable("no reply");
+  for (;;) {
+    delivery.reset();
+    link->Submit(request);
+    while (!delivery.has_value()) {
+      events->RunOne();
+    }
+    const bool lost = delivery->lost;
+    std::optional<uint64_t> wait_ns;
+    if (lost) {
+      result = std::move(delivery->status);
+      wait_ns = retry.Next(link->retry_policy(), /*discarded=*/false);
+    } else if (!delivery->status.ok()) {
+      result = std::move(delivery->status);
+      break;
+    } else if (util::Status refused = accept ? accept(delivery->response) : util::OkStatus();
+               refused.ok()) {
+      result = std::move(delivery->response);
+      break;
+    } else {
+      result = std::move(refused);
+      wait_ns = retry.Next(link->retry_policy(), /*discarded=*/true);
+    }
+    if (!wait_ns.has_value()) {
+      break;
+    }
+    // Wait out the timeout on the event queue, so everything else on the
+    // timeline (other links, timeline edges) runs on time meanwhile.
+    bool resend = false;
+    events->Schedule(link->clock()->now_ns() + *wait_ns, obs::TimeCategory::kWait,
+                     [&resend] { resend = true; });
+    while (!resend) {
+      events->RunOne();
+    }
+    if (lost) {
+      link->NoteRetransmission();
+    }
+  }
+  link->set_delivery_sink(std::move(found_sink));
+  return result;
 }
 
 // splitmix64: tiny, deterministic, and independent of the crypto layer.

@@ -1,5 +1,5 @@
-// Simulated network: links with latency/bandwidth, a synchronous
-// request/response discipline, and an adversary interposition point.
+// Simulated network: links with latency/bandwidth, a discrete-event
+// delivery discipline, and an adversary interposition point.
 //
 // The paper's threat model (§2.1.2): "malicious parties entirely control
 // the network.  Attackers can intercept packets, tamper with them, and
@@ -7,15 +7,7 @@
 // powers; the LinkProfile reproduces the 100 Mbit/s switched Ethernet of
 // the evaluation (§4.1) with separate UDP-like and TCP-like profiles.
 //
-// Loss masking: real NFS/SFS transports retransmit on a timer, so a
-// dropped datagram delays an operation instead of failing it.  Roundtrip
-// implements that discipline — the same wire bytes are resent after an
-// exponentially backed-off timeout, up to RetryPolicy::max_transmissions;
-// only then does the caller observe kUnavailable.  Services are expected
-// to deduplicate redelivered requests (see rpc::Dispatcher, which also
-// serves the SFS secure channel).
-//
-// Discrete-event model: pipelined submissions flow through the clock's
+// Discrete-event model: every message flows through the clock's
 // EventQueue (src/sim/event.h).  Submit() schedules a message-arrival
 // event on the far host; the Host admits it (or queues it behind a
 // concurrency limit, or sheds it past the queue depth), runs the handler
@@ -25,12 +17,21 @@
 // makes the server a genuinely serial (or C-parallel) resource shared by
 // every link pointed at it and makes inline-execution timing bugs
 // structurally impossible.
+//
+// Loss: real NFS/SFS transports retransmit, so a dropped message delays
+// an operation instead of failing it.  The link reports each lost
+// request, lost reply and shed arrival to its sink as a Delivery marked
+// lost, at the moment of the loss.  The sender decides what to do: a
+// stop-and-wait caller (rpc::Client at window 1, Exchange) resends the
+// same wire bytes by StopAndWaitRetry, and a pipelined one ignores the
+// report and relies on the timer it armed at send.  Services are
+// expected to deduplicate redelivered requests (see rpc::Dispatcher,
+// which also serves the SFS secure channel).
 #ifndef SFS_SRC_SIM_NETWORK_H_
 #define SFS_SRC_SIM_NETWORK_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -43,16 +44,17 @@
 
 namespace sim {
 
-// One reply arriving on a pipelined link (see Link::Submit).
-// `status` carries a service-level verdict (dead connection, malformed
-// message); transit loss produces no Delivery at all — the sender's
-// retransmission timer is the only signal.  `tag` echoes the value the
-// sender passed to Submit with the request this reply answers.
+// What a link hands its sink for one transmission (see Link::Submit): a
+// reply, a service-level verdict in `status` (dead connection, malformed
+// message), or, with `lost` set, the report that the request or its
+// reply was lost in transit or shed by the server (`status` says which).
+// Every sink gets the loss reports, so one that counts replies must skip
+// them.  `tag` echoes the value the sender passed to Submit.
 struct Delivery {
-  uint64_t token = 0;
   uint64_t tag = 0;
   util::Status status = util::OkStatus();
   util::Bytes response;
+  bool lost = false;
 };
 
 // A request handler on the far side of a link ("the server machine").
@@ -70,8 +72,8 @@ class Interposer {
  public:
   virtual ~Interposer() = default;
   // Return modified bytes to forward, or an error status to drop the
-  // message (the sender's retransmission timer eventually fires; after
-  // the retry cap the caller observes kUnavailable).
+  // message (the sender resends; after the retry cap the caller observes
+  // kUnavailable).
   virtual util::Result<util::Bytes> OnRequest(util::Bytes request) { return request; }
   virtual util::Result<util::Bytes> OnResponse(util::Bytes response) { return response; }
   // Network duplication: return true to deliver the current request to
@@ -105,6 +107,24 @@ struct RetryPolicy {
   uint64_t initial_rto_ns = 200'000'000;  // 200 ms before the first retry.
   uint64_t max_rto_ns = 3'200'000'000;    // Backoff ceiling.
   uint32_t backoff_factor = 2;
+};
+
+// Stop-and-wait's resend rule, the one copy rpc::Client (window 1) and
+// Exchange share; one per outstanding request.  No timer runs while a
+// request is out, so a slow server is waited for.  A send the link
+// reports lost is resent one backed-off RTO later, up to
+// max_transmissions sends lost in a row.  A reply the sender discards
+// (stale, or failing to open) is resent one initial RTO later and starts
+// the loss schedule afresh, up to max_transmissions discarded replies.
+class StopAndWaitRetry {
+ public:
+  // The wait before resending after a loss, or after a `discarded`
+  // reply; nullopt once that budget is spent.
+  std::optional<uint64_t> Next(const RetryPolicy& policy, bool discarded);
+
+ private:
+  uint32_t losses_ = 0;    // Sends lost since the last reply.
+  uint32_t discards_ = 0;  // Replies discarded.
 };
 
 // Deterministic fault injector: drops, duplicates, and reorders messages
@@ -163,8 +183,8 @@ class LossyInterposer : public Interposer {
 // links; each is either started immediately (a free service slot),
 // queued (recorded as server.queue_wait_ns and, with spans on, a
 // server.queue span), or shed when the queue is full — a shed request
-// simply vanishes, exactly like a datagram the kernel dropped on a full
-// socket buffer, and the client's retransmission timer is the recovery.
+// vanishes, exactly like a datagram the kernel dropped on a full socket
+// buffer, and the client's resend is the recovery.
 //
 // The handler runs at its service-start event inside a clock measure
 // frame (see sim::Clock), so its disk/CPU/crypto charges are captured
@@ -284,9 +304,8 @@ class Host {
   obs::Gauge* g_in_service_;
 };
 
-// A bidirectional link to one service.  Roundtrip() charges virtual time
-// for both directions, runs the interposer chain, and masks transit loss
-// by retransmitting the same wire bytes on a backed-off timer.
+// A bidirectional link to one service: two serial wire directions, the
+// far Host, and the interposer chain, all driven by the event queue.
 class Link {
  public:
   // `registry` receives the aggregate link.* counters; nullptr selects
@@ -314,76 +333,69 @@ class Link {
   // Installs (or clears, with nullptr) the adversary.
   void set_interposer(Interposer* interposer) { interposer_ = interposer; }
 
+  // The senders' resend discipline on this link.
   void set_retry_policy(RetryPolicy policy) { retry_policy_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
 
-  util::Result<util::Bytes> Roundtrip(const util::Bytes& request);
-
-  // --- Pipelined mode -----------------------------------------------------
-  //
-  // Submit() puts a request on the wire without blocking for the reply,
-  // so several calls can share one round-trip of latency.  The uplink
-  // and downlink are serial bandwidth resources (busy-until watermarks:
+  // Puts a request on the wire without blocking for the reply, so
+  // several calls can share one round-trip of latency.  The uplink and
+  // downlink are serial bandwidth resources (busy-until watermarks:
   // concurrent messages overlap in propagation but queue for the wire);
   // the server is the Host's admission/execution pipeline.  Everything
   // beyond the uplink watermark happens as scheduled events: arrival,
-  // handler completion, delivery.  A message the interposer drops
-  // schedules no delivery: the caller's retransmission timer is the
-  // only recovery, exactly as with Roundtrip().
+  // handler completion, delivery, or the report of a loss.  With spans
+  // on, each wire leg is recorded when it is scheduled, as a link.send,
+  // link.send.dup or link.recv span under the span ambient at Submit.
   //
-  // Returns a token identifying the submission; the matching Delivery
-  // carries it back with `tag`, a value of the caller's choosing
-  // (rpc::Client passes the call's xid, so a service-level verdict names
-  // its call whichever transmission carried it).  Replies are still
-  // matched on message content, since duplicated/reordered replies can
-  // arrive under any token.
-  uint64_t Submit(const util::Bytes& request, uint64_t tag = 0);
+  // The submission's Delivery carries back `tag`, a value of the caller's
+  // choosing (rpc::Client passes the call's xid, so a verdict or loss
+  // report names its call whichever transmission carried it).  Replies
+  // are still matched on message content, since duplicated/reordered
+  // replies can arrive under any tag.
+  void Submit(const util::Bytes& request, uint64_t tag = 0);
 
   // Receives every delivery at its delivery event; a delivery with no
   // sink installed finds no one listening and is discarded.  One
   // top-level EventQueue loop can drive any number of links this way.
-  void set_delivery_sink(std::function<void(Delivery)> sink) {
-    sink_ = std::move(sink);
+  // Returns the sink it replaces.
+  std::function<void(Delivery)> set_delivery_sink(std::function<void(Delivery)> sink) {
+    std::swap(sink_, sink);
+    return sink;
   }
 
-  // Counts a client-driven retransmission in link.retransmissions
-  // (pipelined callers resend on their own timers; Roundtrip's internal
-  // retry loop counts itself).
+  // Counts a sender's resend in link.retransmissions.
   void NoteRetransmission() { m_retransmissions_->Increment(); }
-
-  // In-flight span bookkeeping entries (bounded by in-flight tokens:
-  // entries are erased at delivery and on every drop/shed — a live
-  // token is never evicted).
-  size_t transit_info_size() const { return transit_info_.size(); }
 
   Clock* clock() const { return clock_; }
   Host* host() const { return host_; }
   const LinkProfile& profile() const { return profile_; }
 
  private:
-  void ChargeOneWay(size_t bytes, const char* span_name);
   // Wire occupancy (bandwidth) of one message, excluding propagation.
   uint64_t SerializationNs(size_t bytes) const;
   void CountMessage(size_t bytes);
   bool SpansEnabled() const;
   // One transmission of a submission, as its arrival and completion
-  // closures carry it.
+  // closures carry it; `ctx` parents its leg spans.
   struct Leg {
-    uint64_t token = 0;
     uint64_t tag = 0;
     bool is_duplicate = false;
+    obs::SpanContext ctx;
   };
+  // Records one wire leg [start_ns, end_ns) as a span, when spans are on.
+  void RecordLeg(const char* name, const Leg& leg, uint64_t start_ns, uint64_t end_ns,
+                 size_t bytes);
   // Charges the uplink watermark and schedules the arrival event, which
   // hands the bytes on to the host.
-  void ScheduleRequestLeg(Leg leg, util::Bytes wire_request, obs::SpanContext ctx);
+  void ScheduleRequestLeg(Leg leg, util::Bytes wire_request);
   // Service verdict in hand (at completion-event time): run the response
   // interposer, charge the downlink, schedule the delivery event.  Error
   // verdicts take the same downlink leg as success replies.
   void CompleteResponse(Leg leg, util::Result<util::Bytes> result);
   void ScheduleResponseLeg(Leg leg, util::Result<util::Bytes> reply);
-  // Delivery-event time: record the transit span, then hand to the sink.
+  // Schedules the report of a loss, now, as the transmission's delivery.
+  void ReportLoss(const Leg& leg, util::Status why);
   void Deliver(Delivery delivery);
-  void EraseTransitInfo(uint64_t token);
 
   Clock* clock_;
   LinkProfile profile_;
@@ -392,25 +404,11 @@ class Link {
   std::unique_ptr<Host> owned_host_;
   Interposer* interposer_ = nullptr;
   RetryPolicy retry_policy_;
-  // Pipelined-mode state: the delivery sink and busy-until watermarks
-  // for the two wire directions (the server's occupancy lives in the
-  // Host).
+  // The delivery sink and busy-until watermarks for the two wire
+  // directions (the server's occupancy lives in the Host).
   std::function<void(Delivery)> sink_;
-  uint64_t next_token_ = 1;
   uint64_t uplink_free_ns_ = 0;
   uint64_t downlink_free_ns_ = 0;
-  // Pipelined-mode span bookkeeping: the ambient span and submit time of
-  // each in-flight token, so the delivery event can record a
-  // "link.transit" span parented into the submitter's trace.  Entries
-  // are erased exactly when the token dies — delivery, interposer drop,
-  // or server shed — never by size pruning (which used to evict live
-  // tokens at fleet scale and orphan their spans).
-  struct TransitInfo {
-    uint64_t trace_id = 0;
-    uint64_t parent_span_id = 0;
-    uint64_t submit_ns = 0;
-  };
-  std::map<uint64_t, TransitInfo> transit_info_;
   // Arrival and delivery events this link scheduled and has not yet
   // seen dispatch; cancelled at destruction.
   EventGroup events_;
@@ -427,6 +425,18 @@ class Link {
   obs::Counter* m_drops_ = nullptr;
   obs::Counter* m_duplicates_ = nullptr;
 };
+
+// One request and its reply over `link`, for the connection messages
+// that precede an RPC channel (SFS connect and negotiate, the SRP key
+// fetch, SFSRO).  It resends by StopAndWaitRetry, a reply `accept`
+// refuses (stale or unexpected) being a discarded one; a service-level
+// verdict ends it, and a spent budget returns the last loss or refusal.
+// Runs the event loop until done, so call it neither from inside an event
+// nor while calls are in flight on the link: it takes the link's delivery
+// sink and puts back the one it found.
+using ReplyCheck = std::function<util::Status(const util::Bytes& reply)>;
+util::Result<util::Bytes> Exchange(Link* link, const util::Bytes& request,
+                                   const ReplyCheck& accept = nullptr);
 
 }  // namespace sim
 

@@ -7,21 +7,22 @@
 //
 // Two properties worth spelling out:
 //
-//  - Sampler edges never perturb event *timing*.  An edge is a
-//    zero-duration handler scheduled at a timestamp at or before the
-//    next real event, so every completion, delivery and timer still
-//    fires at exactly the virtual time it would have without the
-//    sampler — committed BENCH baselines keep their real_time_s.
-//    What can shift slightly is the ledger *split*: the gap an edge
-//    lands inside is charged in two pieces (the pre-edge piece to
-//    kWait), so at most one event gap per window may read as wait
-//    instead of its own category (docs/OBSERVABILITY.md §8).
+//  - Sampler edges never perturb the run.  An edge is a zero-duration
+//    observer event (GapAttribution::Observer): every completion,
+//    delivery and timer still fires at exactly the virtual time it would
+//    have without the sampler, and the gap an edge lands inside is
+//    charged as the event that ends the gap would charge it, a measured
+//    service frame split proportionally and cumulatively.  So the ledger
+//    is the same to the nanosecond with or without a sampler, and
+//    committed BENCH baselines keep their real_time_s
+//    (docs/OBSERVABILITY.md §8).
 //
-//  - When the clock jumps past several edges in one Advance() (e.g. a
-//    workload's application-CPU phase), the pending edge dispatches
-//    late with no clock advance, and the timeline closes one variable-
-//    length catch-up window covering the whole gap.  Windows therefore
-//    stay contiguous even across jumps.
+//  - Edges dispatch only while someone runs the event loop, which every
+//    RPC call does.  When the clock jumps past several edges outside the
+//    loop (e.g. a workload's application-CPU phase), the pending edge
+//    dispatches late with no clock advance, and the timeline closes one
+//    variable-length catch-up window covering the whole gap.  Windows
+//    therefore stay contiguous even across jumps.
 #ifndef SFS_SRC_SIM_SAMPLER_H_
 #define SFS_SRC_SIM_SAMPLER_H_
 
@@ -68,22 +69,6 @@ class TimelineSampler {
     timeline_->Finalize(clock_->now_ns(), cats.ns);
   }
 
-  // Edge delivery for scenarios that never pump the event queue: the
-  // stop-and-wait Link::Roundtrip path handles requests inline and
-  // advances the clock directly, so the recurring edge event would sit
-  // in the queue forever.  Poll() closes the window by hand once the
-  // clock has moved past the pending edge (same catch-up semantics as a
-  // late dispatch) and re-anchors the next edge at now.  Harmless to
-  // call from event-driven scenarios too; a no-op before the edge.
-  void Poll() {
-    if (armed_ && clock_->now_ns() >= next_edge_ns_) {
-      if (pending_ != EventQueue::kInvalidId) {
-        clock_->events()->Cancel(pending_);
-      }
-      OnEdge();
-    }
-  }
-
   bool armed() const { return armed_; }
 
   // Number of queue entries that are the sampler's own (0 or 1): lets
@@ -104,18 +89,15 @@ class TimelineSampler {
   }
 
   void ScheduleNext() {
-    // The bridged gap (if the edge is reached by an actual clock
-    // advance) is idle time by construction — nothing else was
-    // scheduled earlier — so kWait is the honest attribution.
-    next_edge_ns_ = clock_->now_ns() + timeline_->window_ns();
-    pending_ = clock_->events()->Schedule(next_edge_ns_, obs::TimeCategory::kWait,
+    // With nothing else pending, the gap up to the edge is idle time.
+    pending_ = clock_->events()->Schedule(clock_->now_ns() + timeline_->window_ns(),
+                                          GapAttribution::Observer(obs::TimeCategory::kWait),
                                           [this] { OnEdge(); });
   }
 
   Clock* clock_;
   obs::Timeline* timeline_;
   EventQueue::EventId pending_ = EventQueue::kInvalidId;
-  uint64_t next_edge_ns_ = 0;
   bool armed_ = false;
 };
 

@@ -5,20 +5,21 @@
 // stale when their slot is reused, closures that run (or die) exactly
 // once, and allocation budgets: warm Schedule/Cancel/RunOne cycles
 // allocate nothing for closures within EventFn's inline size, and a warm
-// pipelined plain-RPC call allocates only for its message bytes.  Layer two
-// pins the Host admission pipeline (bounded queue, shedding, retransmit
-// recovery) and the sim::Link regressions fixed alongside it: error
-// verdicts that used to skip the downlink leg, duplicate deliveries that
-// used to ride the server for free, transit_info entries that used to be
-// size-pruned while their tokens were still in flight, and reorder-held
-// responses that used to vanish from the accounting at end of run.  A
-// differential test checks the event core against the inline watermark
-// model (Roundtrip) at window=1 — same timeline, same ledger, to the
-// nanosecond — and every scenario re-checks the ledger invariant: the
-// per-category totals sum exactly to now_ns().  Layer three tears owners
-// down mid-run: a Link, Host or Client cancels exactly its own pending
-// events, and a shared Host drops the queued jobs of a connection that
-// is gone instead of running them against its freed service.
+// plain-RPC call, pipelined or stop-and-wait, allocates only for its
+// message bytes.  Layer two pins the Host admission pipeline (bounded
+// queue, shedding, retransmit recovery) and the sim::Link regressions
+// fixed alongside it: error verdicts that used to skip the downlink leg,
+// duplicate deliveries that used to ride the server for free, and
+// reorder-held responses that used to vanish from the accounting at end
+// of run; each wire leg is a span recorded when it is scheduled.  A
+// differential test checks the event core at window=1 against the
+// LinkProfile formula the old inline model charged — same timeline, same
+// ledger, to the nanosecond — and every scenario re-checks the ledger
+// invariant: the per-category totals sum exactly to now_ns().  Layer
+// three tears owners down mid-run: a Link, Host or Client cancels
+// exactly its own pending events, and a shared Host drops the queued
+// jobs of a connection that is gone instead of running them against its
+// freed service.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -357,6 +358,46 @@ TEST(AllocationBudgetTest, WarmPipelinedPlainCallAllocatesFiveTimes) {
   ExpectLedgerBalanced(clock);
 }
 
+TEST(AllocationBudgetTest, WarmStopAndWaitPlainCallAllocatesFiveTimes) {
+  // The same call at window 1, where every paper figure runs: each call
+  // waits for its reply through the event loop.  Its message bytes cost
+  // the same five allocations; the client keeps its one pending-call
+  // slot between calls, and the loop's events, the host's queue slot and
+  // the reply parse are reused or stored inline.
+  sim::Clock clock;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [](uint32_t, const Bytes& args) {
+    return util::Result<Bytes>(args);
+  });
+  sim::Host host(&clock, &dispatcher, &registry);
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &host, &registry);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
+
+  const Bytes args = BytesOf("a warm stop-and-wait call");
+  uint64_t completions = 0;
+  auto call = [&](uint64_t calls) {
+    for (uint64_t i = 0; i < calls; ++i) {
+      const util::Result<Bytes> reply = client.Call(1, args);
+      completions += reply.ok() && reply.value() == args ? 1 : 0;
+    }
+  };
+  // Past the growth of the duplicate-request ring and the event pool.
+  constexpr uint64_t kWarm = 200;
+  constexpr uint64_t kCalls = 1'000;
+  call(kWarm);
+  const uint64_t before = g_allocations.load();
+  call(kCalls);
+  const uint64_t allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(completions, kWarm + kCalls);
+  EXPECT_EQ(allocations, 5 * kCalls) << "allocations per warm stop-and-wait call: "
+                                     << static_cast<double>(allocations) / kCalls;
+  EXPECT_EQ(registry.CounterValue("link.retransmissions"), 0u);
+  ExpectLedgerBalanced(clock);
+}
+
 // --- Host admission queue --------------------------------------------------
 
 TEST(HostTest, BoundedQueueShedsAndRetransmissionRecovers) {
@@ -410,8 +451,8 @@ TEST(HostTest, BoundedQueueShedsAndRetransmissionRecovers) {
 
 // --- Differential: event core vs the inline watermark model ---------------
 
-// A fixed-cost echo: the same 70 us of kCpu whether it runs inline
-// (Roundtrip) or in a measure frame at its service-start event.
+// A fixed-cost echo: the same 70 us of kCpu for every request, charged
+// in a measure frame at its service-start event.
 class FixedCostEcho : public sim::Service {
  public:
   FixedCostEcho(sim::Clock* clock, uint64_t service_ns)
@@ -426,57 +467,57 @@ class FixedCostEcho : public sim::Service {
   uint64_t service_ns_;
 };
 
+// One-way transit of a `bytes`-byte message on an idle wire.
+uint64_t OneWayNs(const sim::LinkProfile& profile, size_t bytes) {
+  return profile.latency_ns + profile.per_message_ns +
+         static_cast<uint64_t>(bytes) * 1'000'000'000 / profile.bytes_per_sec;
+}
+
 TEST(DifferentialTest, EventCoreMatchesWatermarkModelAtWindowOne) {
-  // Stop-and-wait on a loss-free link is the one regime where the old
-  // inline model (charge uplink, run handler, charge downlink) was
-  // correct.  The event core must reproduce its timeline exactly:
-  // same elapsed time, same per-category ledger, for the same calls.
+  // Stop-and-wait on a loss-free link is the regime the old inline model
+  // (charge the uplink, run the handler, charge the downlink) described
+  // exactly.  The event core must reproduce its timeline: each call takes
+  // both one-way transits plus the service time, charged as kLink and
+  // kCpu, to the nanosecond.
   constexpr uint64_t kServiceNs = 70'000;
   constexpr int kCalls = 8;
+  const sim::LinkProfile profile = sim::LinkProfile::Udp();
 
-  sim::Clock inline_clock;
-  obs::Registry inline_registry;
-  FixedCostEcho inline_echo(&inline_clock, kServiceNs);
-  sim::Link inline_link(&inline_clock, sim::LinkProfile::Udp(), &inline_echo,
-                        &inline_registry);
+  sim::Clock clock;
+  obs::Registry registry;
+  FixedCostEcho echo(&clock, kServiceNs);
+  sim::Link link(&clock, profile, &echo, &registry);
+  DeliveryCapture deliveries(&link);
 
-  sim::Clock event_clock;
-  obs::Registry event_registry;
-  FixedCostEcho event_echo(&event_clock, kServiceNs);
-  sim::Link event_link(&event_clock, sim::LinkProfile::Udp(), &event_echo,
-                       &event_registry);
-  DeliveryCapture event_deliveries(&event_link);
-
+  uint64_t link_ns = 0;
+  uint64_t wire_bytes = 0;
   for (int i = 0; i < kCalls; ++i) {
     const Bytes payload = BytesOf("differential " + std::to_string(i));
-
-    auto inline_reply = inline_link.Roundtrip(payload);
-    ASSERT_TRUE(inline_reply.ok());
-    EXPECT_EQ(inline_reply.value(), payload);
-
-    const uint64_t token = event_link.Submit(payload);
-    auto delivery = event_deliveries.Next();
+    const uint64_t start_ns = clock.now_ns();
+    link.Submit(payload, /*tag=*/i);
+    auto delivery = deliveries.Next();
     ASSERT_TRUE(delivery.has_value());
-    EXPECT_EQ(delivery->token, token);
+    EXPECT_EQ(delivery->tag, static_cast<uint64_t>(i));
     ASSERT_TRUE(delivery->status.ok());
     EXPECT_EQ(delivery->response, payload);
 
-    EXPECT_EQ(event_clock.now_ns(), inline_clock.now_ns())
-        << "timelines diverged at call " << i;
+    const uint64_t transit_ns = 2 * OneWayNs(profile, payload.size());
+    EXPECT_EQ(clock.now_ns() - start_ns, transit_ns + kServiceNs) << "call " << i;
+    link_ns += transit_ns;
+    wire_bytes += 2 * payload.size();
   }
 
-  const sim::Clock::CategorySnapshot inline_ledger = inline_clock.categories();
-  const sim::Clock::CategorySnapshot event_ledger = event_clock.categories();
+  const sim::Clock::CategorySnapshot ledger = clock.categories();
   for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
-    EXPECT_EQ(event_ledger.ns[i], inline_ledger.ns[i])
-        << "category " << obs::TimeCategoryName(static_cast<TimeCategory>(i));
+    const auto category = static_cast<TimeCategory>(i);
+    const uint64_t want = category == TimeCategory::kLink  ? link_ns
+                          : category == TimeCategory::kCpu ? kCalls * kServiceNs
+                                                           : 0;
+    EXPECT_EQ(ledger.ns[i], want) << "category " << obs::TimeCategoryName(category);
   }
-  EXPECT_EQ(inline_registry.CounterValue("link.messages"),
-            event_registry.CounterValue("link.messages"));
-  EXPECT_EQ(inline_registry.CounterValue("link.bytes"),
-            event_registry.CounterValue("link.bytes"));
-  ExpectLedgerBalanced(inline_clock);
-  ExpectLedgerBalanced(event_clock);
+  EXPECT_EQ(registry.CounterValue("link.messages"), 2u * kCalls);
+  EXPECT_EQ(registry.CounterValue("link.bytes"), wire_bytes);
+  ExpectLedgerBalanced(clock);
 }
 
 // --- Teardown mid-run -----------------------------------------------------
@@ -807,21 +848,14 @@ TEST(LinkTimingTest, DuplicateDeliveryOccupiesTheSerialServer) {
       << "the duplicate must hold the serial server for a full service time";
 }
 
-// --- transit_info_ lifetime ------------------------------------------------
+// --- Wire legs as spans ---------------------------------------------------
 
-// Drops every request on the floor.
-class DropAllRequests : public sim::Interposer {
- public:
-  util::Result<Bytes> OnRequest(Bytes) override {
-    return util::Unavailable("black hole");
-  }
-};
-
-TEST(TransitInfoTest, EntriesLiveExactlyAsLongAsTheirTokens) {
-  // Regression: transit_info_ was size-capped, so a fleet-scale burst
-  // evicted live tokens and orphaned their spans.  Entries must survive
-  // any number of in-flight tokens and be erased exactly at delivery,
-  // drop, or shed — never by pruning.
+TEST(LinkSpanTest, EachWireLegIsASpanOfItsOwnWireTime) {
+  // Three requests submitted at once under one ambient span: each leg is
+  // recorded when the link schedules it, parented under the submitter's
+  // span, covering only its own time on the wire.  Uplink queueing stays
+  // with the sender, so the second request's leg starts where the
+  // first's serialization ends.
   sim::Clock clock;
   obs::Registry registry;
   registry.spans().Enable(
@@ -832,63 +866,44 @@ TEST(TransitInfoTest, EntriesLiveExactlyAsLongAsTheirTokens) {
           out[i] = charged.ns[i];
         }
       });
+  const sim::LinkProfile profile = sim::LinkProfile::Udp();
   FixedCostEcho echo(&clock, 10'000);
-  sim::Link link(&clock, sim::LinkProfile::Udp(), &echo, &registry);
+  sim::Link link(&clock, profile, &echo, &registry);
   DeliveryCapture deliveries(&link);
 
-  // Far more in-flight tokens than the old cap tolerated: all live, all
-  // tracked.
-  constexpr uint64_t kInFlight = 512;
-  for (uint64_t i = 0; i < kInFlight; ++i) {
-    link.Submit(BytesOf("burst " + std::to_string(i)));
+  const uint64_t root = registry.spans().Begin("op", "test");
+  registry.spans().Push(root);
+  const Bytes request(1000, 7);
+  for (int i = 0; i < 3; ++i) {
+    link.Submit(request);
   }
-  EXPECT_EQ(link.transit_info_size(), kInFlight)
-      << "live tokens must never be evicted";
-  for (uint64_t i = 0; i < kInFlight; ++i) {
-    auto delivery = deliveries.Next();
-    ASSERT_TRUE(delivery.has_value());
+  registry.spans().Pop(root);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(deliveries.Next().has_value());
   }
-  EXPECT_EQ(link.transit_info_size(), 0u) << "delivery erases the entry";
+  registry.spans().End(root);
 
-  // A request dropped in transit dies with its bookkeeping.
-  DropAllRequests black_hole;
-  link.set_interposer(&black_hole);
-  link.Submit(BytesOf("doomed"));
-  EXPECT_EQ(link.transit_info_size(), 0u) << "drop erases the entry";
-  EXPECT_EQ(registry.CounterValue("link.drops"), 1u);
-  link.set_interposer(nullptr);
-  ExpectLedgerBalanced(clock);
-}
-
-TEST(TransitInfoTest, ShedArrivalsPruneTheirEntries) {
-  sim::Clock clock;
-  obs::Registry registry;
-  registry.spans().Enable(
-      [&clock] { return clock.now_ns(); },
-      [&clock](uint64_t out[obs::kTimeCategoryCount]) {
-        const sim::Clock::CategorySnapshot charged = clock.categories();
-        for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
-          out[i] = charged.ns[i];
-        }
-      });
-  FixedCostEcho echo(&clock, 500'000);
-  sim::Host::Options options;
-  options.concurrency = 1;
-  options.queue_depth = 0;  // No queue: anything beyond the slot is shed.
-  sim::Host host(&clock, &echo, &registry, options);
-  sim::Link link(&clock, sim::LinkProfile::Udp(), &host, &registry);
-  DeliveryCapture deliveries(&link);
-
-  // Three near-simultaneous arrivals: one serves, two are shed.
-  link.Submit(BytesOf("request 1"));
-  link.Submit(BytesOf("request 2"));
-  link.Submit(BytesOf("request 3"));
-  auto delivery = deliveries.Next();
-  ASSERT_TRUE(delivery.has_value());
-  clock.events()->RunUntil(UINT64_MAX);  // Drain any remaining events.
-  EXPECT_EQ(host.shed_count(), 2u);
-  EXPECT_EQ(link.transit_info_size(), 0u)
-      << "a shed token's bookkeeping dies at the admission decision";
+  const uint64_t serialization_ns = OneWayNs(profile, request.size()) - OneWayNs(profile, 0);
+  std::vector<const obs::Span*> sends;
+  size_t recvs = 0;
+  for (const obs::Span& span : registry.spans().finished()) {
+    if (span.name == "link.send" || span.name == "link.recv") {
+      EXPECT_EQ(span.parent_id, root) << span.name;
+      EXPECT_EQ(span.wire_bytes, request.size()) << span.name;
+      EXPECT_EQ(span.cat_ns[static_cast<size_t>(TimeCategory::kLink)], span.duration_ns());
+      EXPECT_EQ(span.duration_ns(), OneWayNs(profile, request.size())) << span.name;
+      if (span.name == "link.send") {
+        sends.push_back(&span);
+      } else {
+        ++recvs;
+      }
+    }
+  }
+  ASSERT_EQ(sends.size(), 3u);
+  EXPECT_EQ(recvs, 3u);
+  for (size_t i = 0; i < sends.size(); ++i) {
+    EXPECT_EQ(sends[i]->start_ns, i * serialization_ns) << "request " << i;
+  }
   ExpectLedgerBalanced(clock);
 }
 

@@ -202,12 +202,12 @@ class EchoService : public sim::Service {
   int calls_ = 0;
 };
 
-TEST(LinkTest, RoundtripChargesBothDirections) {
+TEST(LinkTest, ExchangeChargesBothDirections) {
   sim::Clock clock;
   obs::Registry registry;
   EchoService echo;
   sim::Link link(&clock, sim::LinkProfile::Udp(), &echo, &registry);
-  auto reply = link.Roundtrip(Bytes(1000, 1));
+  auto reply = sim::Exchange(&link, Bytes(1000, 1));
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->size(), 1000u);
   // 2 x (latency 45us + per-message 25us + 1000B/12.5MBps = 80us).
@@ -216,11 +216,25 @@ TEST(LinkTest, RoundtripChargesBothDirections) {
   EXPECT_EQ(registry.CounterValue("link.bytes"), 2000u);
 }
 
+TEST(LinkTest, ExchangePutsBackTheSinkItFound) {
+  sim::Clock clock;
+  EchoService echo;
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &echo);
+  int delivered = 0;
+  link.set_delivery_sink([&delivered](sim::Delivery) { ++delivered; });
+  ASSERT_TRUE(sim::Exchange(&link, BytesOf("hello")).ok());
+  EXPECT_EQ(delivered, 0) << "the exchange's reply went to the exchange";
+  link.Submit(BytesOf("again"));
+  while (clock.events()->RunOne()) {
+  }
+  EXPECT_EQ(delivered, 1);
+}
+
 TEST(LinkTest, LocalProfileIsFree) {
   sim::Clock clock;
   EchoService echo;
   sim::Link link(&clock, sim::LinkProfile::Local(), &echo);
-  ASSERT_TRUE(link.Roundtrip(Bytes(4096, 0)).ok());
+  ASSERT_TRUE(sim::Exchange(&link, Bytes(4096, 0)).ok());
   EXPECT_EQ(clock.now_ns(), 0u);
 }
 
@@ -238,8 +252,9 @@ TEST(LinkTest, InterposerCanDropRequests) {
   sim::Link link(&clock, sim::LinkProfile::Udp(), &echo);
   DropInterposer dropper;
   link.set_interposer(&dropper);
-  auto reply = link.Roundtrip(BytesOf("hello?"));
+  auto reply = sim::Exchange(&link, BytesOf("hello?"));
   EXPECT_EQ(reply.status().code(), util::ErrorCode::kUnavailable);
+  EXPECT_EQ(reply.status().message(), "request dropped in transit: packet lost");
   EXPECT_EQ(echo.calls_, 0);  // Never reached the server.
 }
 

@@ -396,8 +396,6 @@ TEST(RegistryTest, ProcFamiliesAreBuiltOncePerRegistry) {
   EXPECT_NE(second.Get(1, "GETATTR"), read);
   EXPECT_EQ(registry.GetCounter("rpc.client.NFS3.READ.calls"), read->calls);
   EXPECT_EQ(registry.FindHistogram("rpc.client.NFS3.READ.latency_ns"), read->latency);
-  EXPECT_EQ(registry.GetCounter("rpc.client.NFS3.READ.time.wait_ns"),
-            read->time[static_cast<size_t>(obs::TimeCategory::kWait)]);
 }
 
 // --- Clean run: every call traced, no retransmission noise -------------------
@@ -732,9 +730,9 @@ TEST(SpanCollectorTest, RecordClosedAssignsIdsAndCapacityDropsCount) {
   uint64_t root = spans.Begin("op", "test");
   obs::SpanContext ctx = spans.Find(root)->context();
 
-  // A pipelined link transit is measured externally and recorded whole.
+  // A wire leg is measured by the link and recorded whole.
   obs::Span transit;
-  transit.name = "link.transit";
+  transit.name = "link.send";
   transit.layer = "sim.link";
   transit.start_ns = 1;
   transit.end_ns = 4;

@@ -216,6 +216,235 @@ TEST(StopAndWaitContractTest, LongSfsCommitIsWaitedForNotResent) {
   EXPECT_EQ(registry.CounterValue("rpc.client.unmatched_replies"), 0u);
 }
 
+// --- Window 1: recovery from loss, staleness and duplication ----------------
+//
+// Each case runs one stop-and-wait echo call through a scripted
+// interposer and compares it with the same call on a clean link: a lost
+// request is resent one, then two, initial RTOs after each loss; a lost
+// reply is resent one RTO after the drop and answered from the DRC; a
+// stale reply is discarded and the call resent one initial RTO later.
+// Losses and stale replies have budgets of their own: up to six sends
+// lost in a row, counted afresh after each stale reply, and up to six
+// stale replies.
+
+// Answers each interposer hook from a script, one entry per message in
+// each direction; past the end of a script, messages pass unchanged.
+class ScriptedInterposer : public sim::Interposer {
+ public:
+  enum Action { kDeliver, kDrop, kDuplicate, kStale };
+
+  ScriptedInterposer(std::vector<Action> requests, std::vector<Action> responses)
+      : requests_(std::move(requests)), responses_(std::move(responses)) {}
+
+  util::Result<Bytes> OnRequest(Bytes request) override {
+    request_action_ = Next(requests_, &next_request_);
+    if (request_action_ == kDrop) {
+      return util::Unavailable("scripted drop");
+    }
+    return request;
+  }
+  bool DuplicateRequest() override { return request_action_ == kDuplicate; }
+  util::Result<Bytes> OnResponse(Bytes response) override {
+    switch (Next(responses_, &next_response_)) {
+      case kDrop:
+        return util::Unavailable("scripted drop");
+      case kStale:
+        response[0] ^= 0x80;  // Another call's xid, at the same length.
+        return response;
+      default:
+        return response;
+    }
+  }
+
+ private:
+  static Action Next(const std::vector<Action>& script, size_t* next) {
+    return *next < script.size() ? script[(*next)++] : kDeliver;
+  }
+
+  std::vector<Action> requests_;
+  std::vector<Action> responses_;
+  size_t next_request_ = 0;
+  size_t next_response_ = 0;
+  Action request_action_ = kDeliver;
+};
+
+struct RecoveryRun {
+  uint64_t elapsed_ns = 0;
+  sim::Clock::CategorySnapshot ledger;
+  uint64_t retransmissions = 0;
+  uint64_t stale_retries = 0;
+  uint64_t drc_hits = 0;
+  uint64_t messages = 0;
+  uint64_t bytes = 0;
+  util::Status status;  // The call's outcome.
+};
+
+// One window-1 echo call whose handler charges 70 us of CPU; it either
+// `recovers` or gives up.
+RecoveryRun RunScriptedCall(std::vector<ScriptedInterposer::Action> requests,
+                            std::vector<ScriptedInterposer::Action> responses,
+                            bool recovers = true) {
+  sim::Clock clock;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [&clock](uint32_t, const Bytes& args) {
+    clock.Advance(70'000, obs::TimeCategory::kCpu);
+    return util::Result<Bytes>(args);
+  });
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, &registry);
+  ScriptedInterposer script(std::move(requests), std::move(responses));
+  link.set_interposer(&script);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
+  auto reply = client.Call(1, BytesOf("scripted"));
+  EXPECT_EQ(reply.ok(), recovers) << reply.status().ToString();
+  if (reply.ok()) {
+    EXPECT_EQ(reply.value(), BytesOf("scripted"));
+  }
+  RecoveryRun run;
+  run.status = reply.status();
+  run.elapsed_ns = clock.now_ns();
+  run.ledger = clock.categories();
+  run.retransmissions = registry.CounterValue("link.retransmissions");
+  run.stale_retries = registry.CounterValue("rpc.client.stale_retries");
+  run.drc_hits = registry.CounterValue("server.drc_hits");
+  run.messages = registry.CounterValue("link.messages");
+  run.bytes = registry.CounterValue("link.bytes");
+  return run;
+}
+
+uint64_t Charged(const RecoveryRun& run, obs::TimeCategory category) {
+  return run.ledger.ns[static_cast<size_t>(category)];
+}
+
+constexpr uint64_t kRtoNs = 200'000'000;  // sim::RetryPolicy's initial RTO.
+
+TEST(StopAndWaitRecoveryTest, RequestDroppedTwiceIsResentOneThenTwoRtosAfterEachLoss) {
+  using A = ScriptedInterposer::Action;
+  const RecoveryRun clean = RunScriptedCall({}, {});
+  const RecoveryRun run = RunScriptedCall({A::kDrop, A::kDrop}, {});
+  // Neither lost copy reached the wire's far end or the server.
+  EXPECT_EQ(run.elapsed_ns, clean.elapsed_ns + 3 * kRtoNs);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kWait), 3 * kRtoNs);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kLink), Charged(clean, obs::TimeCategory::kLink));
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kCpu), 70'000u);
+  EXPECT_EQ(run.retransmissions, 2u);
+  EXPECT_EQ(run.stale_retries, 0u);
+  EXPECT_EQ(run.drc_hits, 0u);
+}
+
+TEST(StopAndWaitRecoveryTest, ReplyDroppedOnceIsResentOneRtoLaterAndAnsweredFromTheDrc) {
+  using A = ScriptedInterposer::Action;
+  const RecoveryRun clean = RunScriptedCall({}, {});
+  const RecoveryRun run = RunScriptedCall({}, {A::kDrop});
+  // The resent request crosses the uplink again; the DRC answers it
+  // without running the handler.
+  const uint64_t request_leg_ns = Charged(clean, obs::TimeCategory::kLink) / 2;
+  const uint64_t resent_leg_ns =
+      Charged(run, obs::TimeCategory::kLink) - Charged(clean, obs::TimeCategory::kLink);
+  EXPECT_EQ(run.elapsed_ns, clean.elapsed_ns + kRtoNs + resent_leg_ns);
+  EXPECT_NEAR(static_cast<double>(resent_leg_ns), static_cast<double>(request_leg_ns), 1'000.0);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kWait), kRtoNs);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kCpu), 70'000u);
+  EXPECT_EQ(run.retransmissions, 1u);
+  EXPECT_EQ(run.stale_retries, 0u);
+  EXPECT_EQ(run.drc_hits, 1u);
+}
+
+TEST(StopAndWaitRecoveryTest, StaleReplyIsResentOneInitialRtoLater) {
+  using A = ScriptedInterposer::Action;
+  const RecoveryRun clean = RunScriptedCall({}, {});
+  const RecoveryRun run = RunScriptedCall({}, {A::kStale});
+  // Two full round trips (the stale reply has the fresh one's length),
+  // one initial RTO between them, and one execution.
+  EXPECT_EQ(run.elapsed_ns, 2 * clean.elapsed_ns - 70'000 + kRtoNs);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kWait), kRtoNs);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kLink), 2 * Charged(clean, obs::TimeCategory::kLink));
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kCpu), 70'000u);
+  EXPECT_EQ(run.retransmissions, 0u);
+  EXPECT_EQ(run.stale_retries, 1u);
+  EXPECT_EQ(run.drc_hits, 1u);
+}
+
+TEST(StopAndWaitRecoveryTest, DuplicatedRequestDoesNotDelayTheCaller) {
+  using A = ScriptedInterposer::Action;
+  const RecoveryRun clean = RunScriptedCall({}, {});
+  const RecoveryRun run = RunScriptedCall({A::kDuplicate}, {});
+  // The copy follows the original onto the uplink and queues behind it at
+  // the server, which answers it from the DRC after the original's reply
+  // has left; the copy's reply finds no one waiting.  The caller's reply
+  // is not delayed at all.  The copy lands one serialization time after
+  // the original, inside the original's service, and the ledger charges
+  // that slice of the shared timeline to the wire.
+  EXPECT_EQ(run.elapsed_ns, clean.elapsed_ns);
+  EXPECT_EQ(run.messages, clean.messages + 1) << "the copy is a real wire message";
+  const uint64_t copy_serialization_ns =
+      (run.bytes - clean.bytes) * 1'000'000'000 / sim::LinkProfile::Udp().bytes_per_sec;
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kLink),
+            Charged(clean, obs::TimeCategory::kLink) + copy_serialization_ns);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kCpu), 70'000u - copy_serialization_ns);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kWait), 0u);
+  EXPECT_EQ(run.retransmissions, 0u);
+  EXPECT_EQ(run.stale_retries, 0u);
+  EXPECT_EQ(run.drc_hits, 1u);
+}
+
+TEST(StopAndWaitRecoveryTest, LossesAndStaleRepliesKeepBudgetsOfTheirOwn) {
+  using A = ScriptedInterposer::Action;
+  const RecoveryRun clean = RunScriptedCall({}, {});
+  // Loss, stale, three times over, then a fresh reply on the seventh send.
+  const RecoveryRun run = RunScriptedCall(
+      {A::kDrop, A::kDeliver, A::kDrop, A::kDeliver, A::kDrop, A::kDeliver},
+      {A::kStale, A::kStale, A::kStale});
+  // Each wait is one initial RTO: every loss is the first since a reply.
+  // Four round trips, one execution, three DRC replays.
+  EXPECT_EQ(run.elapsed_ns, 4 * clean.elapsed_ns - 3 * 70'000 + 6 * kRtoNs);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kWait), 6 * kRtoNs);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kLink), 4 * Charged(clean, obs::TimeCategory::kLink));
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kCpu), 70'000u);
+  EXPECT_EQ(run.retransmissions, 3u);
+  EXPECT_EQ(run.stale_retries, 3u);
+  EXPECT_EQ(run.drc_hits, 3u);
+}
+
+TEST(StopAndWaitRecoveryTest, SixLossesAfterAStaleReplyGiveUpWithTheLoss) {
+  using A = ScriptedInterposer::Action;
+  const RecoveryRun clean = RunScriptedCall({}, {});
+  const RecoveryRun run = RunScriptedCall(
+      {A::kDeliver, A::kDrop, A::kDrop, A::kDrop, A::kDrop, A::kDrop, A::kDrop}, {A::kStale},
+      /*recovers=*/false);
+  EXPECT_EQ(run.status.code(), util::ErrorCode::kUnavailable);
+  EXPECT_EQ(run.status.message(), "request dropped in transit: scripted drop");
+  // One initial RTO after the stale reply, then 1, 2, 4, 8 and 16
+  // initial RTOs after the first five of six losses in a row.
+  EXPECT_EQ(run.elapsed_ns, clean.elapsed_ns + 32 * kRtoNs);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kWait), 32 * kRtoNs);
+  EXPECT_EQ(run.retransmissions, 5u);
+  EXPECT_EQ(run.stale_retries, 1u);
+  EXPECT_EQ(run.drc_hits, 0u);
+}
+
+TEST(StopAndWaitRecoveryTest, SixStaleRepliesBetweenLossesGiveUpWithTheStaleStatus) {
+  using A = ScriptedInterposer::Action;
+  const RecoveryRun clean = RunScriptedCall({}, {});
+  std::vector<A> requests;
+  for (int i = 0; i < 6; ++i) {
+    requests.insert(requests.end(), {A::kDrop, A::kDeliver});
+  }
+  const RecoveryRun run =
+      RunScriptedCall(requests, std::vector<A>(6, A::kStale), /*recovers=*/false);
+  EXPECT_EQ(run.status.code(), util::ErrorCode::kUnavailable);
+  EXPECT_EQ(run.status.message(), "RPC: gave up waiting for a fresh reply: RPC: stale reply xid " +
+                                      std::to_string(0x80000001u));
+  // Twelve sends: six losses and five stale replies each wait one
+  // initial RTO; six round trips, one execution.
+  EXPECT_EQ(run.elapsed_ns, 6 * clean.elapsed_ns - 5 * 70'000 + 11 * kRtoNs);
+  EXPECT_EQ(Charged(run, obs::TimeCategory::kWait), 11 * kRtoNs);
+  EXPECT_EQ(run.retransmissions, 6u);
+  EXPECT_EQ(run.stale_retries, 5u);
+  EXPECT_EQ(run.drc_hits, 5u);
+}
+
 // --- CachingFs read-ahead / prefetch against a scripted async backend --------
 
 // Queues every async request; Deliver() answers them from the MemFs in

@@ -862,7 +862,7 @@ class SrpFlowTest : public SfsTest {
     xdr::Encoder framed;
     framed.PutUint32(sfs::kMsgSrpStart);
     framed.PutOpaque(start.Take());
-    ASSIGN_OR_RETURN(Bytes start_raw, link.Roundtrip(framed.Take()));
+    ASSIGN_OR_RETURN(Bytes start_raw, sim::Exchange(&link, framed.Take()));
     xdr::Decoder sdec(start_raw);
     ASSIGN_OR_RETURN(uint32_t stype, sdec.GetUint32());
     if (stype != sfs::kMsgSrpStart) {
@@ -881,7 +881,7 @@ class SrpFlowTest : public SfsTest {
     xdr::Encoder framed2;
     framed2.PutUint32(sfs::kMsgSrpFinish);
     framed2.PutOpaque(finish.Take());
-    ASSIGN_OR_RETURN(Bytes finish_raw, link.Roundtrip(framed2.Take()));
+    ASSIGN_OR_RETURN(Bytes finish_raw, sim::Exchange(&link, framed2.Take()));
     xdr::Decoder fdec(finish_raw);
     ASSIGN_OR_RETURN(uint32_t ftype, fdec.GetUint32());
     if (ftype != sfs::kMsgSrpFinish) {

@@ -9,8 +9,8 @@
 // a real bounded-queue sim::Host through a shedding burst and checks
 // the annotator finds exactly the overload it caused — and nothing in a
 // clean run — plus the sampler properties the BENCH baselines rely on:
-// edges never move real events, and the polled path closes the same
-// windows the event-driven path would.
+// edges never move real events, a late edge closes one catch-up window,
+// and the ledger reads the same with or without a sampler.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -358,29 +358,79 @@ TEST(SamplerTest, EdgesNeverMoveRealEvents) {
   }
 }
 
-TEST(SamplerTest, PollClosesWindowsWithoutAnEventPump) {
+TEST(SamplerTest, LateEdgeClosesOneCatchUpWindow) {
   sim::Clock clock;
   obs::Registry registry;
   obs::Timeline timeline(&registry);  // 10 ms windows.
   sim::TimelineSampler sampler(&clock, &timeline);
   sampler.Start();
 
-  // The stop-and-wait path advances the clock directly and never calls
-  // RunOne; Poll() must deliver the pending edge by hand.
-  clock.Advance(4'000'000, TimeCategory::kCpu);
-  sampler.Poll();  // Before the edge: no window yet.
+  // The clock jumps past several edges outside the event loop; the
+  // pending edge dispatches late, the next time the loop runs, with no
+  // clock advance, and closes one window for the whole jump.
+  clock.Advance(47'000'000, TimeCategory::kDisk);
   EXPECT_TRUE(timeline.windows().empty());
-  clock.Advance(8'000'000, TimeCategory::kCpu);
-  sampler.Poll();  // Past the 10 ms edge: closes [0, 12 ms).
+  ASSERT_TRUE(clock.events()->RunOne());
   ASSERT_EQ(timeline.windows().size(), 1u);
-  EXPECT_EQ(timeline.windows()[0].end_ns, 12'000'000u);
-  clock.Advance(35'000'000, TimeCategory::kDisk);
-  sampler.Poll();  // One catch-up window for the whole jump.
-  ASSERT_EQ(timeline.windows().size(), 2u);
-  EXPECT_EQ(timeline.windows()[1].begin_ns, 12'000'000u);
-  EXPECT_EQ(timeline.windows()[1].end_ns, 47'000'000u);
+  EXPECT_EQ(timeline.windows()[0].begin_ns, 0u);
+  EXPECT_EQ(timeline.windows()[0].end_ns, 47'000'000u);
+  EXPECT_EQ(clock.now_ns(), 47'000'000u);
   sampler.Finalize();
-  EXPECT_EQ(timeline.windows().size(), 2u);  // Nothing new to close.
+  EXPECT_EQ(timeline.windows().size(), 1u);  // Nothing new to close.
+}
+
+// The per-category ledger of 20 echo calls at `window` to a handler that
+// charges disk and CPU, with a sampler of `sampler_window_ns` attached
+// (0: none).
+sim::Clock::CategorySnapshot SampledRunLedger(uint32_t window, uint64_t sampler_window_ns) {
+  sim::Clock clock;
+  obs::Registry registry;
+  rpc::Dispatcher dispatcher(&registry, &clock);
+  dispatcher.RegisterProgram(9, [&clock](uint32_t, const Bytes& args) {
+    clock.Advance(1'700'003, TimeCategory::kDisk);
+    clock.Advance(1'300'001, TimeCategory::kCpu);
+    return util::Result<Bytes>(args);
+  });
+  sim::Link link(&clock, sim::LinkProfile::Udp(), &dispatcher, &registry);
+  rpc::LinkTransport transport(&link);
+  rpc::Client client(&transport, 9, &registry);
+  client.set_window(window);
+  obs::Timeline::Options options;
+  if (sampler_window_ns != 0) {
+    options.window_ns = sampler_window_ns;
+  }
+  obs::Timeline timeline(&registry, options);
+  sim::TimelineSampler sampler(&clock, sampler_window_ns != 0 ? &timeline : nullptr);
+  sampler.Start();
+  uint64_t completions = 0;
+  for (int i = 0; i < 20; ++i) {
+    client.CallAsync(1, BytesOf("op " + std::to_string(i)),
+                     [&completions](util::Result<Bytes> reply) {
+                       EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+                       ++completions;
+                     });
+  }
+  client.Drain();
+  EXPECT_EQ(completions, 20u);
+  if (sampler_window_ns != 0) {
+    EXPECT_GT(timeline.windows().size(), 20u) << "edges must land inside the run";
+  }
+  return clock.categories();
+}
+
+TEST(SamplerTest, LedgerIsIdenticalWithAndWithoutASampler) {
+  // An edge that lands inside a transit or a service frame charges the
+  // piece of the gap before it as that gap's own event would, so the
+  // observer takes no time from link, disk or CPU.
+  for (const uint32_t window : {1u, 4u}) {
+    const sim::Clock::CategorySnapshot bare = SampledRunLedger(window, 0);
+    const sim::Clock::CategorySnapshot sampled = SampledRunLedger(window, 999'983);
+    for (size_t i = 0; i < obs::kTimeCategoryCount; ++i) {
+      EXPECT_EQ(sampled.ns[i], bare.ns[i])
+          << "window " << window << ", "
+          << obs::TimeCategoryName(static_cast<TimeCategory>(i));
+    }
+  }
 }
 
 // --- Episode detection against a real bounded-queue host -------------------
@@ -438,7 +488,6 @@ HostRunResult RunHostScenario(bool overload_burst) {
   client.set_window(1);
   run_calls(4);
   EXPECT_EQ(registry.CounterValue("server.shed"), 0u);
-  sampler.Poll();  // Close out phase A's window before the burst.
 
   result.burst_begin_ns = clock.now_ns();
   if (overload_burst) {
@@ -449,7 +498,6 @@ HostRunResult RunHostScenario(bool overload_burst) {
     EXPECT_GT(registry.CounterValue("server.shed"), 0u);
   }
   result.burst_end_ns = clock.now_ns();
-  sampler.Poll();
 
   // Phase C: sequential again; clean.
   client.set_window(1);

@@ -9,11 +9,10 @@ gates:
   1. Baseline diff.  Delegates to bench_compare.py to diff the fresh
      BENCH_fleet_scaling.json against the committed baseline.  The rows
      report *virtual* time, which is a pure function of the timing
-     model, so the comparison is exact: any delta means the event core,
-     admission queue, or link model changed behaviour.  The 10%
-     threshold exists only to absorb a deliberately retuned cost model
-     half-way through a stack of commits; honest refactors reproduce
-     the baseline to the nanosecond.
+     model, so honest refactors reproduce the baseline to the
+     nanosecond.  The comparison is not exact, though: it checks only
+     each row's total (real_time_s) and fails only when a row is more
+     than 10% slower, so a faster row or a moved counter passes.
 
   2. Timeline integration.  For every run with an embedded timeline
      (bench_compare.py load() already validated edges and utilization
@@ -139,8 +138,9 @@ def main(argv):
         return 1
 
     candidate = os.path.join(scratch, "BENCH_fleet_scaling.json")
-    # Gate 1: exact-ish baseline diff (also schema-validates both files,
-    # including every embedded timeline's window/utilization invariants).
+    # Gate 1: baseline diff of row totals, failing a row >10% slower
+    # (also schema-validates both files, including every embedded
+    # timeline's window/utilization invariants).
     compare = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "bench_compare.py")
     rc = subprocess.call([
